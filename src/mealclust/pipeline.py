@@ -2,7 +2,8 @@
 three-algorithm DBI sweeps -> per-household reports on disk.
 
 Households are processed independently; a failure in one (no episodes,
-all-undefined DBSCAN sweep) is reported but never aborts the others.
+a GMM numerical collapse, all-undefined DBSCAN sweep) is reported but
+never aborts the others.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from mealclust import episodes as episodes_mod
 from mealclust import features as features_mod
 from mealclust import synth as synth_mod
 from mealclust.events import SchemaError
-from mealclust.gmm import gmm_fit, category_summary
+from mealclust.gmm import FitError, gmm_fit, category_summary
 from mealclust.validation import (
     DEFAULT_EPS_VALUES,
     DEFAULT_G_RANGE,
@@ -83,7 +84,8 @@ def _load_events(config: RunConfig):
 def _process_household(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> dict:
     """Run one household end to end; returns its summary dict.
 
-    Raises SweepError / ValueError upward for per-household failures.
+    Raises SweepError / FitError / ValueError upward for per-household
+    failures.
     """
     episodes = episodes_mod.segment_episodes(
         hh_events,
@@ -175,7 +177,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         try:
             _process_household(household_id, groups[household_id], config, out_root / household_id)
             processed.append(household_id)
-        except (SweepError, ValueError) as exc:
+        except (SweepError, FitError, ValueError) as exc:
             failures.append(f"{household_id}: {exc}")
 
     exit_code = EXIT_OK if not failures else EXIT_PIPELINE_ERROR

@@ -17,7 +17,7 @@ import numpy as np
 from mealclust.features import FeatureMatrix
 from mealclust.kmeans import kmeans_fit, _as_array
 from mealclust.gmm import gmm_fit
-from mealclust.dbscan import dbscan_fit, NOISE, DEFAULT_MIN_PTS
+from mealclust.dbscan import dbscan_fits, NOISE, DEFAULT_MIN_PTS
 
 DEFAULT_K_RANGE = range(2, 11)
 DEFAULT_G_RANGE = range(2, 11)
@@ -205,7 +205,8 @@ def sweep_dbscan(
     min_pts: int = DEFAULT_MIN_PTS,
     household_id: str = "",
 ) -> SweepReport:
-    """One dbscan_fit + noise-excluded DBI per eps value.
+    """One DBSCAN fit (all sharing one distance matrix) + noise-excluded
+    DBI per eps value.
 
     Entries yielding fewer than 2 clusters are kept with an undefined
     DBI (for plotting curve gaps) but are never selectable as best.
@@ -213,18 +214,15 @@ def sweep_dbscan(
     """
     if not eps_values:
         raise ValueError("eps_values must be non-empty")
-    if any(e <= 0 for e in eps_values):
-        raise ValueError("eps values must be positive")
     entries = []
-    for eps in eps_values:
-        result = dbscan_fit(m, eps=eps, min_pts=min_pts)
+    for result in dbscan_fits(m, eps_values, min_pts=min_pts):
         n_noise = int((result.labels == NOISE).sum())
         try:
             dbi = davies_bouldin(m, result.labels, exclude_noise=True)
         except UndefinedDbiError:
             dbi = None
         entries.append(
-            SweepEntry(param=float(eps), dbi=dbi, n_clusters=result.n_clusters, n_noise=n_noise)
+            SweepEntry(param=float(result.eps), dbi=dbi, n_clusters=result.n_clusters, n_noise=n_noise)
         )
     return SweepReport(
         household_id=household_id,

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from mealclust import pipeline
 from mealclust.cli import main
 from mealclust.episodes import read_episodes_csv
 from mealclust.events import parse_events
+from mealclust.gmm import FitError
 from mealclust.synth import default_profile, format_profile
 from mealclust.validation import SweepReport
 
@@ -148,6 +150,31 @@ def test_per_household_failure_isolation(tmp_path, profile_path):
     code = run_cli("run", "--input", merged, "--out", out)
     assert code == 3  # h2 fails
     assert (out / "house-1" / "summary.json").exists()  # house-1 still processed
+
+
+def test_gmm_collapse_stays_in_its_household(tmp_path, profile_path, monkeypatch, capsys):
+    # house-0 is a copy of house-1 whose GMM sweep collapses; it is
+    # processed first, and house-1 must still get its full artifacts
+    gen = tmp_path / "gen"
+    run_cli("generate", "--profile", profile_path, "--out", gen)
+    header, *rows = (gen / "trace.csv").read_text().splitlines()
+    copy = [row.replace(",house-1,", ",house-0,") for row in rows]
+    merged = tmp_path / "merged.csv"
+    merged.write_text("\n".join([header, *copy, *rows]) + "\n")
+
+    sweep_gmm = pipeline.sweep_gmm
+
+    def collapsing_sweep_gmm(matrix, **kwargs):
+        if kwargs["household_id"] == "house-0":
+            raise FitError("numerical collapse at iteration 3")
+        return sweep_gmm(matrix, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sweep_gmm", collapsing_sweep_gmm)
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", merged, "--out", out) == 3
+    assert (out / "house-1" / "summary.json").exists()
+    assert not (out / "house-0" / "summary.json").exists()
+    assert "house-0: numerical collapse at iteration 3" in capsys.readouterr().err
 
 
 def test_input_files_never_mutated(tmp_path, profile_path):

@@ -176,6 +176,16 @@ def test_sweep_dbscan_two_blobs():
     # tiny eps: everything noise -> undefined; huge eps: one cluster -> undefined
     assert report.entries[0].dbi is None
     assert report.entries[-1].dbi is None
+    for entry in report.entries:
+        # the shared-distance sweep gives exactly the per-eps fit
+        result = dbscan_fit(m, eps=entry.param, min_pts=4)
+        assert entry.n_clusters == result.n_clusters
+        assert entry.n_noise == int((result.labels == -1).sum())
+        try:
+            dbi = davies_bouldin(m, result.labels, exclude_noise=True)
+        except UndefinedDbiError:
+            dbi = None
+        assert entry.dbi == dbi
     defined = [e for e in report.entries if e.dbi is not None]
     assert defined, "mid-range eps must produce a defined DBI"
     for entry in defined:
