@@ -11,6 +11,7 @@ Seed fallback: MEALCLUST_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,9 +38,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_range(text: str) -> range:
     try:
         lo, _, hi = text.partition("..")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
+    if not 2 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"range needs 2 <= A <= B, got {text!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_eps_list(text: str) -> list[float]:
@@ -49,7 +53,19 @@ def _parse_eps_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("eps list must be non-empty")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"eps values must be finite and positive, got {text!r}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _default_seed() -> int:
@@ -69,14 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gap-min", type=float, default=DEFAULT_GAP_THRESHOLD_MIN,
                      help="episode gap threshold in minutes")
     run.add_argument("--min-duration-min", type=float, default=DEFAULT_MIN_DURATION_MIN)
-    run.add_argument("--min-events", type=int, default=DEFAULT_MIN_EVENTS)
+    run.add_argument("--min-events", type=_positive_int, default=DEFAULT_MIN_EVENTS)
     run.add_argument("--features", choices=sorted(FEATURE_MODES), default="duration+hour")
     run.add_argument("--scale", choices=["none", "zscore"], default="none")
     run.add_argument("--k-range", type=_parse_range, default=pipeline.DEFAULT_K_RANGE, metavar="A..B")
     run.add_argument("--g-range", type=_parse_range, default=pipeline.DEFAULT_G_RANGE, metavar="A..B")
     run.add_argument("--eps", type=_parse_eps_list, default=list(pipeline.DEFAULT_EPS_VALUES),
                      metavar="LIST", help="comma-separated eps values for the DBSCAN sweep")
-    run.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
+    run.add_argument("--min-pts", type=_positive_int, default=DEFAULT_MIN_PTS)
     run.add_argument("--seed", type=int, default=None, help="fit seed (fallback: MEALCLUST_SEED, then 0)")
     run.add_argument("--out", type=Path, required=True, help="output directory")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from mealclust.events import SensorEvent, TIMESTAMP_FORMAT
+from mealclust.events import SensorEvent, TIMESTAMP_FORMAT, csv_text
 
 DEFAULT_GAP_THRESHOLD_MIN = 10.0
 DEFAULT_MIN_DURATION_MIN = 1.0
@@ -89,11 +89,9 @@ def segment_episodes(
 
 
 def episodes_to_csv(episodes: Iterable[ActivityEpisode]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(EPISODE_CSV_COLUMNS)
-    for ep in episodes:
-        writer.writerow(
+    return csv_text(
+        EPISODE_CSV_COLUMNS,
+        (
             [
                 ep.household_id,
                 ep.start.strftime(TIMESTAMP_FORMAT),
@@ -102,8 +100,9 @@ def episodes_to_csv(episodes: Iterable[ActivityEpisode]) -> str:
                 repr(ep.start_hour),
                 ep.event_count,
             ]
-        )
-    return out.getvalue()
+            for ep in episodes
+        ),
+    )
 
 
 def read_episodes_csv(text: str) -> list[ActivityEpisode]:

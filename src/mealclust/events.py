@@ -138,13 +138,21 @@ def group_by_household(events: Iterable[SensorEvent]) -> dict[str, list[SensorEv
     return groups
 
 
-def events_to_csv(events: Iterable[SensorEvent]) -> str:
-    """Serialize events back into the input CSV schema."""
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """CSV text: the header line, then one line per row, each ending in
+    a bare newline. Every artifact CSV of the package is written here."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS)
-    for e in events:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def events_to_csv(events: Iterable[SensorEvent]) -> str:
+    """Serialize events back into the input CSV schema."""
+    return csv_text(
+        REQUIRED_COLUMNS,
+        (
             [
                 e.timestamp.strftime(TIMESTAMP_FORMAT),
                 e.household_id,
@@ -153,14 +161,10 @@ def events_to_csv(events: Iterable[SensorEvent]) -> str:
                 e.location,
                 e.value,
             ]
-        )
-    return out.getvalue()
+            for e in events
+        ),
+    )
 
 
 def rejections_to_csv(rejections: Iterable[Rejection]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["line", "reason"])
-    for r in rejections:
-        writer.writerow([r.line, r.reason])
-    return out.getvalue()
+    return csv_text(["line", "reason"], ([r.line, r.reason] for r in rejections))

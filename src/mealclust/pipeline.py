@@ -16,8 +16,8 @@ from mealclust import events as events_mod
 from mealclust import episodes as episodes_mod
 from mealclust import features as features_mod
 from mealclust import synth as synth_mod
-from mealclust.events import SchemaError
-from mealclust.gmm import FitError, gmm_fit, category_summary
+from mealclust.events import SchemaError, csv_text
+from mealclust.gmm import FitError, category_summary
 from mealclust.validation import (
     DEFAULT_EPS_VALUES,
     DEFAULT_G_RANGE,
@@ -33,6 +33,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PIPELINE_ERROR = 3
+
+CATEGORY_CSV_COLUMNS = ("category", "mean_duration_min", "weight", "count")
 
 
 @dataclass
@@ -107,13 +109,9 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         (out_dir / f"sweep_{name}.json").write_text(_json_bytes(report.to_dict()))
         (out_dir / f"{name}_dbi.csv").write_text(report.plot_csv())
 
-    best_g = int(gm_report.best.param)
-    gm_model = gmm_fit(matrix, g=best_g, seed=config.seed)
-    categories = category_summary(gm_model, matrix)
-    cat_lines = ["category,mean_duration_min,weight,count"]
-    for row in categories:
-        cat_lines.append(f"{row.category},{row.mean_duration_min!r},{row.weight!r},{row.count}")
-    (out_dir / "categories.csv").write_text("\n".join(cat_lines) + "\n")
+    categories = category_summary(gm_report.best_model, matrix)
+    rows = ([row.category, repr(row.mean_duration_min), repr(row.weight), row.count] for row in categories)
+    (out_dir / "categories.csv").write_text(csv_text(CATEGORY_CSV_COLUMNS, rows))
 
     summary: dict = {
         "household_id": household_id,
@@ -121,7 +119,7 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         "algorithms": {
             "kmeans": {"best_param": int(km_report.best.param), "dbi": km_report.best.dbi},
             "gmm": {
-                "best_param": best_g,
+                "best_param": int(gm_report.best.param),
                 "dbi": gm_report.best.dbi,
                 "categories": [
                     {

@@ -13,14 +13,12 @@ compare recovered clusters against ground truth.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from mealclust.events import SensorEvent, TIMESTAMP_FORMAT
+from mealclust.events import SensorEvent, TIMESTAMP_FORMAT, csv_text
 
 BASE_DATE = datetime(2024, 1, 1)
 NOISE_LOCATIONS = ("bedroom", "bathroom", "living_room")
@@ -186,12 +184,10 @@ def generate_trace(profile: HouseholdProfile) -> list[SensorEvent]:
 
 
 def planted_to_csv(planted: list[PlantedEpisode]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRUTH_CSV_COLUMNS)
-    for p in planted:
-        writer.writerow([p.day, p.category, p.start.strftime(TIMESTAMP_FORMAT), repr(p.duration_min)])
-    return out.getvalue()
+    return csv_text(
+        TRUTH_CSV_COLUMNS,
+        ([p.day, p.category, p.start.strftime(TIMESTAMP_FORMAT), repr(p.duration_min)] for p in planted),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,22 @@
 The Davies-Bouldin index (lower is better) scores a hard partition by
 the mean, over clusters, of the worst-case ratio of summed scatters to
 centroid distance. Sweeps fit one model per parameter value and select
-the minimum-DBI entry, breaking ties toward the smallest parameter.
+the minimum-DBI entry, breaking ties toward the smallest parameter;
+the report keeps that entry's fitted model.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
+from mealclust.events import csv_text
 from mealclust.features import FeatureMatrix
-from mealclust.kmeans import kmeans_fit, _as_array
-from mealclust.gmm import gmm_fit
-from mealclust.dbscan import dbscan_fits, NOISE, DEFAULT_MIN_PTS
+from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array
+from mealclust.gmm import GmmModel, gmm_fit
+from mealclust.dbscan import DbscanResult, dbscan_fits, NOISE, DEFAULT_MIN_PTS
 
 DEFAULT_K_RANGE = range(2, 11)
 DEFAULT_G_RANGE = range(2, 11)
@@ -50,6 +51,8 @@ class SweepReport:
     entries: list[SweepEntry]
     best: SweepEntry
     seed: int = 0
+    # the fitted model behind `best`; not serialised
+    best_model: KMeansModel | GmmModel | DbscanResult | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -81,12 +84,10 @@ class SweepReport:
 
     def plot_csv(self) -> str:
         """Plot-data CSV; undefined DBI renders as an empty field."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(PLOT_CSV_COLUMNS)
-        for e in self.entries:
-            writer.writerow([e.param, "" if e.dbi is None else repr(e.dbi), e.n_clusters, e.n_noise])
-        return out.getvalue()
+        return csv_text(
+            PLOT_CSV_COLUMNS,
+            ([e.param, "" if e.dbi is None else repr(e.dbi), e.n_clusters, e.n_noise] for e in self.entries),
+        )
 
 
 def davies_bouldin(m: FeatureMatrix | np.ndarray, labels: np.ndarray, exclude_noise: bool = False) -> float:
@@ -131,6 +132,44 @@ def _select_best(entries: list[SweepEntry]) -> SweepEntry:
     return min(defined, key=lambda e: (e.dbi, e.param))
 
 
+def _param_range(values: range, n: int, name: str) -> list[int]:
+    """The k or g values to sweep, each a valid cluster count for n rows."""
+    params = list(values)
+    if not params:
+        raise ValueError(f"{name} must be non-empty")
+    if params[0] < 2 or params[-1] > n - 1:
+        raise ValueError(f"{name} must lie within [2, {n - 1}]")
+    return params
+
+
+def _sweep(
+    m: FeatureMatrix | np.ndarray,
+    algorithm: str,
+    fits: Iterable[tuple[float, KMeansModel | GmmModel | DbscanResult]],
+    seed: int,
+    household_id: str,
+) -> SweepReport:
+    """Score each (param, fitted model) pair by the noise-excluded DBI of
+    its labels and keep the model of the best entry.
+
+    K-Means and GMM labels never hold NOISE, so for them the exclusion
+    changes nothing.
+    """
+    entries, models = [], []
+    for param, model in fits:
+        labels = model.labels
+        try:
+            dbi = davies_bouldin(m, labels, exclude_noise=True)
+        except UndefinedDbiError:
+            dbi = None
+        noise = labels == NOISE
+        n_clusters = len(np.unique(labels[~noise]))
+        entries.append(SweepEntry(float(param), dbi, n_clusters, n_noise=int(noise.sum())))
+        models.append(model)
+    best = _select_best(entries)
+    return SweepReport(household_id, algorithm, entries, best, seed, best_model=models[entries.index(best)])
+
+
 def sweep_kmeans(
     m: FeatureMatrix | np.ndarray,
     k_range: range = DEFAULT_K_RANGE,
@@ -138,29 +177,8 @@ def sweep_kmeans(
     household_id: str = "",
 ) -> SweepReport:
     """One kmeans_fit + DBI per k; best = minimum DBI."""
-    data = _as_array(m)
-    n = data.shape[0]
-    ks = list(k_range)
-    if not ks:
-        raise ValueError("k_range must be non-empty")
-    if ks[0] < 2 or ks[-1] > n - 1:
-        raise ValueError(f"k_range must lie within [2, {n - 1}]")
-    entries = []
-    for k in ks:
-        model = kmeans_fit(m, k=k, seed=seed)
-        n_clusters = len(np.unique(model.labels))
-        try:
-            dbi = davies_bouldin(m, model.labels)
-        except UndefinedDbiError:
-            dbi = None
-        entries.append(SweepEntry(param=float(k), dbi=dbi, n_clusters=n_clusters))
-    return SweepReport(
-        household_id=household_id,
-        algorithm="kmeans",
-        entries=entries,
-        best=_select_best(entries),
-        seed=seed,
-    )
+    ks = _param_range(k_range, len(_as_array(m)), "k_range")
+    return _sweep(m, "kmeans", ((k, kmeans_fit(m, k=k, seed=seed)) for k in ks), seed, household_id)
 
 
 def sweep_gmm(
@@ -174,29 +192,8 @@ def sweep_gmm(
     Components left empty by the hard assignment are simply absent from
     the labeling, so an entry's n_clusters may be below its g.
     """
-    data = _as_array(m)
-    n = data.shape[0]
-    gs = list(g_range)
-    if not gs:
-        raise ValueError("g_range must be non-empty")
-    if gs[0] < 2 or gs[-1] > n - 1:
-        raise ValueError(f"g_range must lie within [2, {n - 1}]")
-    entries = []
-    for g in gs:
-        model = gmm_fit(m, g=g, seed=seed)
-        n_clusters = len(np.unique(model.labels))
-        try:
-            dbi = davies_bouldin(m, model.labels)
-        except UndefinedDbiError:
-            dbi = None
-        entries.append(SweepEntry(param=float(g), dbi=dbi, n_clusters=n_clusters))
-    return SweepReport(
-        household_id=household_id,
-        algorithm="gmm",
-        entries=entries,
-        best=_select_best(entries),
-        seed=seed,
-    )
+    gs = _param_range(g_range, len(_as_array(m)), "g_range")
+    return _sweep(m, "gmm", ((g, gmm_fit(m, g=g, seed=seed)) for g in gs), seed, household_id)
 
 
 def sweep_dbscan(
@@ -214,20 +211,5 @@ def sweep_dbscan(
     """
     if not eps_values:
         raise ValueError("eps_values must be non-empty")
-    entries = []
-    for result in dbscan_fits(m, eps_values, min_pts=min_pts):
-        n_noise = int((result.labels == NOISE).sum())
-        try:
-            dbi = davies_bouldin(m, result.labels, exclude_noise=True)
-        except UndefinedDbiError:
-            dbi = None
-        entries.append(
-            SweepEntry(param=float(result.eps), dbi=dbi, n_clusters=result.n_clusters, n_noise=n_noise)
-        )
-    return SweepReport(
-        household_id=household_id,
-        algorithm="dbscan",
-        entries=entries,
-        best=_select_best(entries),
-        seed=0,
-    )
+    fits = [(result.eps, result) for result in dbscan_fits(m, eps_values, min_pts=min_pts)]
+    return _sweep(m, "dbscan", fits, 0, household_id)

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from mealclust import pipeline
+from mealclust import gmm, pipeline
 from mealclust.cli import main
 from mealclust.episodes import read_episodes_csv
 from mealclust.events import parse_events
@@ -124,6 +125,48 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["run"])  # missing required --input/--synth-profile and --out
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--k-range", "5..2"),
+        ("--k-range", "1..4"),
+        ("--g-range", "5..2"),
+        ("--g-range", "1..4"),
+        ("--eps", "-1"),
+        ("--eps", "0"),
+        ("--eps", "nan"),
+        ("--eps", "0.5,inf"),
+        ("--min-pts", "0"),
+        ("--min-events", "0"),
+    ],
+)
+def test_bad_parameters_fail_at_parse_time(tmp_path, profile_path, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--synth-profile", str(profile_path), flag, value, "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+
+
+def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):
+    real_fit = gmm.gmm_fit
+    fitted_g = []
+
+    def counting_fit(*args, **kwargs):
+        fitted_g.append(kwargs["g"])
+        return real_fit(*args, **kwargs)
+
+    # patch every name a mealclust module binds the fit to, so a refit anywhere counts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mealclust"):
+            for attr, value in list(vars(module).items()):
+                if value is real_fit:
+                    monkeypatch.setattr(module, attr, counting_fit)
+    config = pipeline.RunConfig(synth_profile_path=profile_path, g_range=range(2, 11), out_dir=tmp_path / "out")
+    assert pipeline.run_pipeline(config).exit_code == 0
+    assert sorted(fitted_g) == list(range(2, 11))
 
 
 def test_seed_env_fallback(tmp_path, profile_path, monkeypatch):

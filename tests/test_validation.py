@@ -3,6 +3,8 @@ import pytest
 
 from mealclust.dbscan import dbscan_fit
 from mealclust.features import FeatureMatrix
+from mealclust.gmm import gmm_fit
+from mealclust.kmeans import kmeans_fit
 from mealclust.validation import (
     SweepError,
     SweepReport,
@@ -165,6 +167,31 @@ def test_sweep_gmm_structure():
             assert entry.n_clusters >= 2
 
 
+def test_gmm_sweep_keeps_its_best_fit():
+    m = four_blobs()
+    for seed in (0, 1):
+        report = sweep_gmm(m, seed=seed)
+        fresh = gmm_fit(m, g=int(report.best.param), seed=seed)
+        assert np.array_equal(report.best_model.labels, fresh.labels)
+        for name in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(report.best_model.params, name), getattr(fresh.params, name))
+
+
+def test_kmeans_and_dbscan_sweeps_keep_their_best_fit():
+    m = four_blobs()
+    report = sweep_kmeans(m, seed=2)
+    fresh = kmeans_fit(m, k=int(report.best.param), seed=2)
+    assert report.best_model.k == report.best.param
+    assert np.array_equal(report.best_model.labels, fresh.labels)
+    assert np.array_equal(report.best_model.centroids, fresh.centroids)
+
+    rng = np.random.default_rng(9)
+    m = matrix(np.vstack([rng.normal([0, 0], 0.3, size=(40, 2)), rng.normal([50, 50], 0.3, size=(40, 2))]))
+    report = sweep_dbscan(m, eps_values=[0.01, 1.0, 2.0, 200.0], min_pts=4)
+    assert report.best_model.eps == report.best.param
+    assert np.array_equal(report.best_model.labels, dbscan_fit(m, eps=report.best.param, min_pts=4).labels)
+
+
 def test_sweep_dbscan_two_blobs():
     rng = np.random.default_rng(9)
     data = np.vstack([
@@ -227,6 +254,7 @@ def test_report_round_trip():
     report = sweep_kmeans(m, seed=0, household_id="h9")
     clone = SweepReport.from_dict(report.to_dict())
     assert clone == report
+    assert clone.best_model is None  # the fitted model is not serialised
 
 
 def test_plot_csv_format():
