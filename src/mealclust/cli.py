@@ -11,7 +11,6 @@ Seed fallback: MEALCLUST_SEED environment variable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -41,35 +40,22 @@ def _parse_range(text: str) -> range:
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}") from None
-    if not 2 <= lo <= hi:
-        raise argparse.ArgumentTypeError(f"range needs 2 <= A <= B, got {text!r}")
     return range(lo, hi + 1)
 
 
 def _parse_eps_list(text: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("eps list must be non-empty")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise argparse.ArgumentTypeError(f"eps values must be finite and positive, got {text!r}")
-    return values
 
 
-def _positive_int(text: str) -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    text = os.environ.get("MEALCLUST_SEED", "0")
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("MEALCLUST_SEED", "0"))
+        parser.error(f"MEALCLUST_SEED must be an integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,14 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gap-min", type=float, default=DEFAULT_GAP_THRESHOLD_MIN,
                      help="episode gap threshold in minutes")
     run.add_argument("--min-duration-min", type=float, default=DEFAULT_MIN_DURATION_MIN)
-    run.add_argument("--min-events", type=_positive_int, default=DEFAULT_MIN_EVENTS)
+    run.add_argument("--min-events", type=int, default=DEFAULT_MIN_EVENTS)
     run.add_argument("--features", choices=sorted(FEATURE_MODES), default="duration+hour")
     run.add_argument("--scale", choices=["none", "zscore"], default="none")
     run.add_argument("--k-range", type=_parse_range, default=pipeline.DEFAULT_K_RANGE, metavar="A..B")
     run.add_argument("--g-range", type=_parse_range, default=pipeline.DEFAULT_G_RANGE, metavar="A..B")
     run.add_argument("--eps", type=_parse_eps_list, default=list(pipeline.DEFAULT_EPS_VALUES),
                      metavar="LIST", help="comma-separated eps values for the DBSCAN sweep")
-    run.add_argument("--min-pts", type=_positive_int, default=DEFAULT_MIN_PTS)
+    run.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
     run.add_argument("--seed", type=int, default=None, help="fit seed (fallback: MEALCLUST_SEED, then 0)")
     run.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -102,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
     config = pipeline.RunConfig(
         input_path=args.input,
         synth_profile_path=args.synth_profile,
@@ -116,14 +102,13 @@ def _cmd_run(args) -> int:
         g_range=args.g_range,
         eps_values=args.eps,
         min_pts=args.min_pts,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed if args.seed is not None else _default_seed(parser),
         out_dir=args.out,
     )
     try:
         config.validate()
     except ValueError as exc:
-        print(f"mealclust: error: {exc}", file=sys.stderr)
-        return pipeline.EXIT_USAGE
+        parser.error(str(exc))
     try:
         result = pipeline.run_pipeline(config)
     except (SchemaError, OSError, ValueError) as exc:
@@ -148,9 +133,10 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(parser, args)
     return _cmd_generate(args)
 
 

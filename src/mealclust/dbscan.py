@@ -18,7 +18,9 @@ ascending index order: a border point joins the first cluster to reach it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +40,17 @@ class DbscanResult:
     n_clusters: int
 
 
+def check_params(eps_values: Sequence[float], min_pts: int) -> None:
+    """Raise ValueError unless the eps list is non-empty, every eps is
+    finite and positive, and min_pts is at least 1."""
+    if not eps_values:
+        raise ValueError("eps_values must be non-empty")
+    if not all(0 < eps < math.inf for eps in eps_values):
+        raise ValueError("eps must be finite and positive")
+    if min_pts < 1:
+        raise ValueError("min_pts must be at least 1")
+
+
 def _pairwise_distances(data: np.ndarray) -> np.ndarray:
     diff = data[:, None, :] - data[None, :, :]
     dist = np.einsum("ijd,ijd->ij", diff, diff)
@@ -46,8 +59,7 @@ def _pairwise_distances(data: np.ndarray) -> np.ndarray:
 
 def eps_neighborhood(p_index: int, m: FeatureMatrix | np.ndarray, eps: float) -> set[int]:
     """Indices strictly closer than eps to point p (p itself included)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_params([eps], 1)
     data = _as_array(m)
     diff = data - data[p_index]
     dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
@@ -93,10 +105,7 @@ def dbscan_fits(
     lowest core index, each border point in the lowest-id cluster among
     its core neighbors.
     """
-    if any(eps <= 0 for eps in eps_values):
-        raise ValueError("eps must be positive")
-    if min_pts < 1:
-        raise ValueError("min_pts must be at least 1")
+    check_params(eps_values, min_pts)
     dist = _pairwise_distances(_as_array(m))
     adjacent = np.empty(dist.shape, dtype=bool)  # reused, so one (N, N) mask lives at a time
     results = []

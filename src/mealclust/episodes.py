@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
@@ -37,6 +38,16 @@ def _start_hour(ts: datetime) -> float:
     return ts.hour + ts.minute / 60.0 + ts.second / 3600.0
 
 
+def check_thresholds(gap_threshold_min: float, min_duration_min: float, min_events: int) -> None:
+    """Raise ValueError unless the segmentation thresholds are usable."""
+    if not 0 < gap_threshold_min < math.inf:
+        raise ValueError("gap_threshold_min must be finite and positive")
+    if not 0 <= min_duration_min < math.inf:
+        raise ValueError("min_duration_min must be finite and non-negative")
+    if min_events < 1:
+        raise ValueError("min_events must be at least 1")
+
+
 def segment_episodes(
     events: Sequence[SensorEvent],
     gap_threshold_min: float = DEFAULT_GAP_THRESHOLD_MIN,
@@ -49,12 +60,7 @@ def segment_episodes(
     belong to the same episode. Input must already be filtered to a
     single household's meal locations and sorted ascending by timestamp.
     """
-    if gap_threshold_min <= 0:
-        raise ValueError("gap_threshold_min must be positive")
-    if min_duration_min < 0:
-        raise ValueError("min_duration_min must be non-negative")
-    if min_events < 1:
-        raise ValueError("min_events must be at least 1")
+    check_thresholds(gap_threshold_min, min_duration_min, min_events)
     for prev, cur in zip(events, events[1:]):
         if cur.timestamp < prev.timestamp:
             raise ValueError("events must be sorted ascending by timestamp")
@@ -84,7 +90,6 @@ def segment_episodes(
         run.append(event)
     if run:
         flush(run)
-    episodes.sort(key=lambda ep: ep.start)
     return episodes
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mealclust.features import FeatureMatrix
-from mealclust.kmeans import kmeans_fit, _as_array
+from mealclust.kmeans import kmeans_fit, _as_array, _centred
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 1e-6
@@ -179,16 +179,6 @@ def _init_from_kmeans(data: np.ndarray, g: int, seed: int) -> GmmParams:
             cov = global_cov.copy()
         covariances[k] = cov + VARIANCE_FLOOR * np.eye(d)
     return GmmParams(weights=weights, means=means, covariances=covariances)
-
-
-def _centred(data_t: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """x - mean_k for every component and point as a C-contiguous (g, N, D)
-    array, built one coordinate at a time from the (D, N) data."""
-    d, n = data_t.shape
-    diff = np.empty((len(means), n, d))
-    for j in range(d):
-        np.subtract(data_t[j], means[:, j, None], out=diff[:, :, j])
-    return diff
 
 
 def gmm_fit(

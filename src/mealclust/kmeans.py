@@ -45,12 +45,20 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
+def _centred(data_t: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """x - centre for every centre and point as a C-contiguous (k, N, D)
+    array, built one coordinate at a time from the (D, N) data: one long
+    pass per coordinate instead of N short ones."""
+    d, n = data_t.shape
+    diff = np.empty((len(centres), n, d))
+    for j in range(d):
+        np.subtract(data_t[j], centres[:, j, None], out=diff[:, :, j])
+    return diff
+
+
 def _sq_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (k, N)."""
-    n, d = data.shape
-    diff = np.empty((len(centroids), n, d))
-    for j in range(d):  # one long pass per coordinate instead of N short ones
-        np.subtract(data[:, j], centroids[:, j, None], out=diff[:, :, j])
+    diff = _centred(data.T, centroids)
     return np.einsum("knd,knd->kn", diff, diff)
 
 

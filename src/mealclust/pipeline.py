@@ -9,10 +9,11 @@ never aborts the others.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 from mealclust import events as events_mod
+from mealclust import dbscan as dbscan_mod
 from mealclust import episodes as episodes_mod
 from mealclust import features as features_mod
 from mealclust import synth as synth_mod
@@ -23,11 +24,11 @@ from mealclust.validation import (
     DEFAULT_G_RANGE,
     DEFAULT_K_RANGE,
     SweepError,
+    check_param_range,
     sweep_dbscan,
     sweep_gmm,
     sweep_kmeans,
 )
-from mealclust.dbscan import DEFAULT_MIN_PTS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,15 +51,23 @@ class RunConfig:
     k_range: range = DEFAULT_K_RANGE
     g_range: range = DEFAULT_G_RANGE
     eps_values: list[float] = field(default_factory=lambda: list(DEFAULT_EPS_VALUES))
-    min_pts: int = DEFAULT_MIN_PTS
+    min_pts: int = dbscan_mod.DEFAULT_MIN_PTS
     seed: int = 0
     out_dir: Path = Path("out")
 
     def validate(self) -> None:
+        """Raise ValueError for any value that is wrong whatever the data;
+        the modules that use the parameters own the rules."""
         if (self.input_path is None) == (self.synth_profile_path is None):
             raise ValueError("exactly one of input_path or synth_profile_path is required")
         if not self.locations:
             raise ValueError("locations set must be non-empty")
+        episodes_mod.check_thresholds(self.gap_threshold_min, self.min_duration_min, self.min_events)
+        check_param_range(self.k_range, "k_range")
+        check_param_range(self.g_range, "g_range")
+        dbscan_mod.check_params(self.eps_values, self.min_pts)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -110,8 +119,7 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         (out_dir / f"{name}_dbi.csv").write_text(report.plot_csv())
 
     categories = category_summary(gm_report.best_model, matrix)
-    rows = ([row.category, repr(row.mean_duration_min), repr(row.weight), row.count] for row in categories)
-    (out_dir / "categories.csv").write_text(csv_text(CATEGORY_CSV_COLUMNS, rows))
+    (out_dir / "categories.csv").write_text(csv_text(CATEGORY_CSV_COLUMNS, map(astuple, categories)))
 
     summary: dict = {
         "household_id": household_id,
@@ -121,15 +129,7 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
             "gmm": {
                 "best_param": int(gm_report.best.param),
                 "dbi": gm_report.best.dbi,
-                "categories": [
-                    {
-                        "category": row.category,
-                        "mean_duration_min": row.mean_duration_min,
-                        "weight": row.weight,
-                        "count": row.count,
-                    }
-                    for row in categories
-                ],
+                "categories": [asdict(row) for row in categories],
             },
         },
     }

@@ -9,8 +9,8 @@ the report keeps that entry's fitted model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,16 +59,8 @@ class SweepReport:
             "household_id": self.household_id,
             "algorithm": self.algorithm,
             "seed": self.seed,
-            "entries": [
-                {"param": e.param, "dbi": e.dbi, "n_clusters": e.n_clusters, "n_noise": e.n_noise}
-                for e in self.entries
-            ],
-            "best": {
-                "param": self.best.param,
-                "dbi": self.best.dbi,
-                "n_clusters": self.best.n_clusters,
-                "n_noise": self.best.n_noise,
-            },
+            "entries": [asdict(e) for e in self.entries],
+            "best": asdict(self.best),
         }
 
     @classmethod
@@ -132,12 +124,20 @@ def _select_best(entries: list[SweepEntry]) -> SweepEntry:
     return min(defined, key=lambda e: (e.dbi, e.param))
 
 
+def check_param_range(values: Sequence[int], name: str) -> None:
+    """Raise ValueError unless the k or g range is non-empty and starts at 2
+    or above."""
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    if values[0] < 2:
+        raise ValueError(f"{name} must start at 2 or above")
+
+
 def _param_range(values: range, n: int, name: str) -> list[int]:
     """The k or g values to sweep, each a valid cluster count for n rows."""
     params = list(values)
-    if not params:
-        raise ValueError(f"{name} must be non-empty")
-    if params[0] < 2 or params[-1] > n - 1:
+    check_param_range(params, name)
+    if params[-1] > n - 1:
         raise ValueError(f"{name} must lie within [2, {n - 1}]")
     return params
 
@@ -209,7 +209,5 @@ def sweep_dbscan(
     DBI (for plotting curve gaps) but are never selectable as best.
     Raises SweepError when every entry is undefined.
     """
-    if not eps_values:
-        raise ValueError("eps_values must be non-empty")
     fits = [(result.eps, result) for result in dbscan_fits(m, eps_values, min_pts=min_pts)]
     return _sweep(m, "dbscan", fits, 0, household_id)

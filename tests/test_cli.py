@@ -140,6 +140,13 @@ def test_usage_error_exit_code():
         ("--eps", "0.5,inf"),
         ("--min-pts", "0"),
         ("--min-events", "0"),
+        ("--gap-min", "0"),
+        ("--gap-min", "-5"),
+        ("--gap-min", "nan"),
+        ("--min-duration-min", "-3"),
+        ("--min-duration-min", "nan"),
+        ("--seed", "-1"),
+        ("--locations", ","),
     ],
 )
 def test_bad_parameters_fail_at_parse_time(tmp_path, profile_path, flag, value):
@@ -148,6 +155,16 @@ def test_bad_parameters_fail_at_parse_time(tmp_path, profile_path, flag, value):
         main(["run", "--synth-profile", str(profile_path), flag, value, "--out", str(out)])
     assert excinfo.value.code == 1
     assert not out.exists()
+
+
+def test_bad_seed_variable_is_a_usage_error(tmp_path, profile_path, monkeypatch, capsys):
+    monkeypatch.setenv("MEALCLUST_SEED", "abc")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--synth-profile", str(profile_path), "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+    assert "MEALCLUST_SEED" in capsys.readouterr().err
 
 
 def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):

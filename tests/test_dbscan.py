@@ -163,6 +163,15 @@ def test_invalid_parameters():
         sweep_dbscan(m, min_pts=0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_eps_rejected(eps):
+    m = matrix([[0.0], [1.0], [5.0]])
+    with pytest.raises(ValueError):
+        dbscan_fits(m, [1.0, eps], 1)
+    with pytest.raises(ValueError):
+        sweep_dbscan(m, eps_values=[eps], min_pts=1)
+
+
 def test_matches_reference_on_random_instances():
     rng = np.random.default_rng(11)
     for trial in range(100):

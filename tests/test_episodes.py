@@ -51,6 +51,13 @@ def test_negative_thresholds_rejected():
         segment_episodes([ev(0)], min_events=0)
 
 
+def test_nan_thresholds_rejected():
+    with pytest.raises(ValueError):
+        segment_episodes([ev(0)], gap_threshold_min=float("nan"))
+    with pytest.raises(ValueError):
+        segment_episodes([ev(0)], min_duration_min=float("nan"))
+
+
 def test_blips_discarded_by_defaults():
     # lone activation and a sub-minute pair both fall below the defaults
     eps = segment_episodes([ev(0), ev(30), ev(30.5)])
