@@ -5,7 +5,7 @@ locations, and compares K-Means, GMM, and DBSCAN clusterings of episode
 features under Davies-Bouldin model selection.
 """
 
-from mealclust.events import SensorEvent, parse_events, filter_meal_locations
+from mealclust.events import EventTable, SensorEvent, parse_events, filter_meal_locations
 from mealclust.episodes import ActivityEpisode, segment_episodes
 from mealclust.features import FeatureMatrix, build_features, scale_features
 from mealclust.kmeans import KMeansModel, kmeans_fit, assign, euclidean_distance

@@ -27,6 +27,22 @@ FEATURE_MODES = {
 }
 
 
+# A rejected run parameter's message starts with the RunConfig field it is
+# about (the DBSCAN check names a single value "eps").
+FIELD_FLAGS = {
+    "locations": "--locations",
+    "gap_threshold_min": "--gap-min",
+    "min_duration_min": "--min-duration-min",
+    "min_events": "--min-events",
+    "k_range": "--k-range",
+    "g_range": "--g-range",
+    "eps_values": "--eps",
+    "eps": "--eps",
+    "min_pts": "--min-pts",
+    "seed": "--seed",
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
@@ -81,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
     run.add_argument("--seed", type=int, default=None, help="fit seed (fallback: MEALCLUST_SEED, then 0)")
     run.add_argument("--out", type=Path, required=True, help="output directory")
+    run.set_defaults(subparser=run)
 
     gen = sub.add_parser("generate", help="write a synthetic trace CSV plus planted-truth sidecar")
     gen.add_argument("--profile", type=Path, default=None, help="profile file (default: bundled profile)")
@@ -88,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_run(args) -> int:
+    parser = args.subparser
     config = pipeline.RunConfig(
         input_path=args.input,
         synth_profile_path=args.synth_profile,
@@ -108,7 +126,11 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
     try:
         config.validate()
     except ValueError as exc:
-        parser.error(str(exc))
+        message = str(exc)
+        flag = FIELD_FLAGS.get(message.split(" ", 1)[0])
+        if flag == "--seed" and args.seed is None:
+            flag = "MEALCLUST_SEED"
+        parser.error(f"argument {flag}: {message}" if flag else message)
     try:
         result = pipeline.run_pipeline(config)
     except (SchemaError, OSError, ValueError) as exc:
@@ -136,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(parser, args)
+        return _cmd_run(args)
     return _cmd_generate(args)
 
 

@@ -3,7 +3,8 @@
 Consecutive events separated by less than the gap threshold form one
 episode; an episode's duration is last event minus first event. Episodes
 shorter than the minimum duration or with too few events (single-sensor
-blips) are discarded.
+blips) are discarded. The split runs on the whole timestamp column at
+once; `ActivityEpisode`s are built only for the kept episodes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Sequence
 
-from mealclust.events import SensorEvent, TIMESTAMP_FORMAT, csv_text
+import numpy as np
+
+from mealclust.events import EventTable, SensorEvent, TIMESTAMP_FORMAT, csv_text, datetimes
 
 DEFAULT_GAP_THRESHOLD_MIN = 10.0
 DEFAULT_MIN_DURATION_MIN = 1.0
@@ -32,10 +35,6 @@ class ActivityEpisode:
     duration_min: float
     start_hour: float
     event_count: int
-
-
-def _start_hour(ts: datetime) -> float:
-    return ts.hour + ts.minute / 60.0 + ts.second / 3600.0
 
 
 def check_thresholds(gap_threshold_min: float, min_duration_min: float, min_events: int) -> None:
@@ -59,38 +58,39 @@ def segment_episodes(
     Events whose inter-event gap is strictly below `gap_threshold_min`
     belong to the same episode. Input must already be filtered to a
     single household's meal locations and sorted ascending by timestamp.
+    A list of `SensorEvent`s is read as an `EventTable`.
     """
     check_thresholds(gap_threshold_min, min_duration_min, min_events)
-    for prev, cur in zip(events, events[1:]):
-        if cur.timestamp < prev.timestamp:
-            raise ValueError("events must be sorted ascending by timestamp")
+    table = EventTable.from_events(events)
+    if not len(table):
+        return []
+    seconds = table.seconds
+    steps = np.diff(seconds)
+    if (steps < 0).any():
+        raise ValueError("events must be sorted ascending by timestamp")
 
-    episodes: list[ActivityEpisode] = []
-    run: list[SensorEvent] = []
+    cuts = np.flatnonzero(steps / 60.0 >= gap_threshold_min) + 1
+    firsts = np.concatenate(([0], cuts))
+    lasts = np.concatenate((cuts, [len(seconds)])) - 1
+    duration_min = (seconds[lasts] - seconds[firsts]) / 60.0
+    event_count = lasts - firsts + 1
+    keep = ~(duration_min < min_duration_min) & (event_count >= min_events)
+    firsts, lasts = firsts[keep], lasts[keep]
 
-    def flush(run: list[SensorEvent]) -> None:
-        duration_min = (run[-1].timestamp - run[0].timestamp).total_seconds() / 60.0
-        if duration_min < min_duration_min or len(run) < min_events:
-            return
-        episodes.append(
-            ActivityEpisode(
-                household_id=run[0].household_id,
-                start=run[0].timestamp,
-                end=run[-1].timestamp,
-                duration_min=duration_min,
-                start_hour=_start_hour(run[0].timestamp),
-                event_count=len(run),
-            )
+    time_of_day = seconds[firsts] % 86400
+    hour, minute, second = time_of_day // 3600, time_of_day // 60 % 60, time_of_day % 60
+    start_hour = hour + minute / 60.0 + second / 3600.0
+    return [
+        ActivityEpisode(*row)
+        for row in zip(
+            table.decoded(table.household[firsts]),
+            datetimes(seconds[firsts]),
+            datetimes(seconds[lasts]),
+            duration_min[keep].tolist(),
+            start_hour.tolist(),
+            event_count[keep].tolist(),
         )
-
-    for event in events:
-        if run and (event.timestamp - run[-1].timestamp).total_seconds() / 60.0 >= gap_threshold_min:
-            flush(run)
-            run = []
-        run.append(event)
-    if run:
-        flush(run)
-    return episodes
+    ]
 
 
 def episodes_to_csv(episodes: Iterable[ActivityEpisode]) -> str:

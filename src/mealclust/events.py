@@ -6,15 +6,25 @@ Input schema (CSV with header):
 Timestamps are naive local ISO-8601 (``YYYY-MM-DDTHH:MM:SS``); values are
 strictly binary. Malformed rows are collected into a rejection report
 rather than silently dropped.
+
+Events are held as columns in an `EventTable`: int64 seconds since
+1970-01-01T00:00:00 plus integer codes into one string vocabulary for
+household, sensor, kind and location. The table is a sequence of
+`SensorEvent`s, built one at a time as they are read.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import datetime
-from typing import Iterable, TextIO
+from datetime import datetime, timedelta
+from itertools import compress, islice
+from operator import itemgetter
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 REQUIRED_COLUMNS = ("timestamp", "household_id", "sensor_id", "sensor_kind", "location", "value")
 SENSOR_KINDS = frozenset({"motion", "contact"})
@@ -24,9 +34,23 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
 MIN_YEAR = 2000
 MAX_YEAR = 2100
 
+EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+# Rows parsed per batch: bounds the per-row Python objects alive at once.
+CHUNK_ROWS = 4096
+_BINARY = {"0": 0, "1": 1}
+# The fields of a row other than its timestamp, in `EventTable` order.
+_FIELD_COLUMNS = ("household_id", "sensor_id", "sensor_kind", "location", "value")
+
+# The canonical timestamp shape, ``YYYY-MM-DDTHH:MM:SS``, by character position.
+_DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATOR_AT = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
 
 class SchemaError(ValueError):
-    """The CSV header does not match the expected event schema."""
+    """The CSV header does not match the expected event schema, or the
+    file is not well-formed CSV."""
 
 
 @dataclass(frozen=True)
@@ -47,6 +71,98 @@ class Rejection:
     reason: str
 
 
+def epoch_seconds(ts: datetime) -> int:
+    """Whole seconds from EPOCH to a naive timestamp."""
+    seconds, rest = divmod(ts - EPOCH, _SECOND)
+    if rest:
+        raise ValueError(f"timestamp {ts} is not a whole second")
+    return seconds
+
+
+def datetimes(seconds: np.ndarray) -> list[datetime]:
+    """The naive datetimes of an array of epoch seconds."""
+    return np.asarray(seconds, dtype=np.int64).astype("datetime64[s]").astype(object).tolist()
+
+
+class EventTable(Sequence):
+    """Sensor events as columns, in a fixed order.
+
+    `seconds` holds int64 epoch seconds; `household`, `sensor`, `kind` and
+    `location` hold int32 codes into `names`; `value` holds int8 0 or 1.
+    Indexing and iteration build `SensorEvent`s; a slice is a table.
+    A table equals any sequence holding equal events in the same order.
+    """
+
+    def __init__(self, seconds, household, sensor, kind, location, value, names: Sequence[str]):
+        self.seconds = np.asarray(seconds, dtype=np.int64)
+        self.household = np.asarray(household, dtype=np.int32)
+        self.sensor = np.asarray(sensor, dtype=np.int32)
+        self.kind = np.asarray(kind, dtype=np.int32)
+        self.location = np.asarray(location, dtype=np.int32)
+        self.value = np.asarray(value, dtype=np.int8)
+        self.names = list(names)
+
+    @classmethod
+    def from_events(cls, events: Iterable[SensorEvent]) -> EventTable:
+        """A table of `events` in their order; a table is returned as is."""
+        if isinstance(events, cls):
+            return events
+        events = list(events)
+        vocab: dict[str, int] = {}
+        return cls(
+            [epoch_seconds(e.timestamp) for e in events],
+            _codes(vocab, [e.household_id for e in events]),
+            _codes(vocab, [e.sensor_id for e in events]),
+            _codes(vocab, [e.sensor_kind for e in events]),
+            _codes(vocab, [e.location for e in events]),
+            [e.value for e in events],
+            list(vocab),
+        )
+
+    def take(self, index) -> EventTable:
+        """The rows at `index` (a slice, a boolean mask or positions)."""
+        return EventTable(
+            self.seconds[index], self.household[index], self.sensor[index], self.kind[index],
+            self.location[index], self.value[index], self.names,
+        )
+
+    def decoded(self, codes: np.ndarray) -> list[str]:
+        """The strings of one code column."""
+        return np.asarray(self.names, dtype=object)[codes].tolist()
+
+    def rows(self, stamps: list) -> Iterator[tuple]:
+        """Each event's fields in `SensorEvent` order, its timestamp taken
+        from `stamps`."""
+        columns = (self.household, self.sensor, self.kind, self.location)
+        return zip(stamps, *map(self.decoded, columns), self.value.tolist())
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        i = range(len(self))[index]
+        return next(iter(self.take(slice(i, i + 1))))
+
+    def __iter__(self) -> Iterator[SensorEvent]:
+        for row in self.rows(datetimes(self.seconds)):
+            yield SensorEvent(*row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"EventTable({len(self)} events)"
+
+
+def _codes(vocab: dict[str, int], strings: list[str]) -> np.ndarray:
+    """Codes of `strings` in `vocab`, which gains each new string."""
+    return np.array([vocab.setdefault(s, len(vocab)) for s in strings], dtype=np.int32)
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse a strict ISO-8601 local timestamp, enforcing sanity bounds."""
     ts = datetime.strptime(text, TIMESTAMP_FORMAT)
@@ -55,24 +171,119 @@ def parse_timestamp(text: str) -> datetime:
     return ts
 
 
-def parse_events(stream: TextIO | str) -> tuple[list[SensorEvent], list[Rejection]]:
+def _canonical_seconds(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of every text that is a valid timestamp of the exact
+    canonical shape (ASCII digits and separators at fixed places, a real
+    calendar date, hour <= 23, minute and second <= 59, year within
+    bounds), plus the mask of those texts. `parse_timestamp` accepts each
+    of them with the same value; the other texts are left to it."""
+    seconds = np.zeros(len(texts), dtype=np.int64)
+    valid = np.zeros(len(texts), dtype=bool)
+    at = np.flatnonzero(np.fromiter(map(len, texts), np.int64, len(texts)) == 19)
+    if not len(at):
+        return seconds, valid
+    # One byte per character: a non-ASCII character becomes "?", which
+    # fails the shape check below.
+    raw = "".join([texts[i] for i in at]).encode("ascii", "replace")
+    chars = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 19)
+    digits = chars[:, _DIGIT_AT].astype(np.int64) - ord("0")
+    ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    for pos, sep in _SEPARATOR_AT.items():
+        ok &= chars[:, pos] == ord(sep)
+    year = digits[:, :4] @ [1000, 100, 10, 1]
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (MIN_YEAR <= year) & (year <= MAX_YEAR) & (1 <= month) & (month <= 12)
+    ok &= (1 <= day) & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    months = ((year[ok] - 1970) * 12 + month[ok] - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]").astype(np.int64) + day[ok] - 1
+    seconds[at[ok]] = days * 86400 + hour[ok] * 3600 + minute[ok] * 60 + second[ok]
+    valid[at[ok]] = True
+    return seconds, valid
+
+
+def _read(reader, n: int) -> list[list[str]]:
+    """Up to `n` more records; malformed CSV framing (such as a field over
+    the csv module's size limit) is a SchemaError naming the line."""
+    try:
+        return list(islice(reader, n))
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+
+
+def _parse_chunk(rows: list[list[str]], first_line: int, header_len: int, idx: dict[str, int],
+                 vocab: dict[str, int]) -> tuple[list[np.ndarray], list[Rejection]]:
+    """The event columns (in `EventTable` order, codes from `vocab`) and the
+    rejections of consecutive rows, the first of them on `first_line`.
+
+    Each row is judged by the first check it fails, in the order: field
+    count, timestamp, kind, value, location. A log repeats few distinct
+    (household, sensor, kind, location, value) fields, so those are
+    stripped, checked and coded once per distinct tuple."""
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    whole = lengths == header_len
+    rejections = [
+        Rejection(first_line + i, f"expected {header_len} fields, got {lengths[i]}")
+        for i in np.flatnonzero(~whole & (lengths > 0)).tolist()
+    ]
+    full = list(compress(rows, whole))
+    lines = first_line + np.flatnonzero(whole)
+
+    stamps = list(map(str.strip, map(itemgetter(idx["timestamp"]), full)))
+    seconds, ts_ok = _canonical_seconds(stamps)
+    ts_error: dict[int, str] = {}
+    for i in np.flatnonzero(~ts_ok).tolist():
+        try:
+            seconds[i] = epoch_seconds(parse_timestamp(stamps[i]))
+            ts_ok[i] = True
+        except ValueError as exc:
+            ts_error[i] = f"bad timestamp: {exc}"
+
+    distinct: dict[tuple[str, ...], int] = {}
+    fields = itemgetter(*(idx[c] for c in _FIELD_COLUMNS))
+    of_row = np.array([distinct.setdefault(f, len(distinct)) for f in map(fields, full)], dtype=np.intp)
+    stripped = [[s.strip() for s in f] for f in distinct]
+    household, sensor, kinds, locations, values = zip(*stripped) if stripped else [()] * 5
+    kind_ok = np.array([k in SENSOR_KINDS for k in kinds], dtype=bool)[of_row]
+    value = np.array([_BINARY.get(v, -1) for v in values], dtype=np.int8)[of_row]
+    location_ok = np.array([bool(loc) for loc in locations], dtype=bool)[of_row]
+
+    keep = ts_ok & kind_ok & (value >= 0) & location_ok
+    for i in np.flatnonzero(~keep).tolist():
+        if i in ts_error:
+            reason = ts_error[i]
+        elif not kind_ok[i]:
+            reason = f"unknown sensor_kind: {kinds[of_row[i]]!r}"
+        elif value[i] < 0:
+            reason = f"non-binary value: {values[of_row[i]]!r}"
+        else:
+            reason = "empty location"
+        rejections.append(Rejection(int(lines[i]), reason))
+    rejections.sort(key=lambda r: r.line)
+
+    of_row = of_row[keep]
+    codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, locations)]
+    return [seconds[keep], *codes, value[keep]], rejections
+
+
+def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     """Parse a sensor-log CSV into time-ordered events plus a rejection report.
 
     Returns events sorted ascending by timestamp (stable, so equal
     timestamps keep input order). Every data row lands either in the
-    event list or in the rejection report.
+    event table or in the rejection report, which is in line order.
 
     Raises SchemaError if the header is missing a required column or
-    carries an unknown one.
+    carries an unknown one, or if the file is not well-formed CSV.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: missing header row") from None
-    header = [h.strip() for h in header]
+    header = _read(reader, 1)
+    if not header:
+        raise SchemaError("empty input: missing header row")
+    header = [h.strip() for h in header[0]]
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise SchemaError(f"missing required column: {col}")
@@ -81,61 +292,40 @@ def parse_events(stream: TextIO | str) -> tuple[list[SensorEvent], list[Rejectio
             raise SchemaError(f"unknown column: {col}")
     idx = {col: header.index(col) for col in REQUIRED_COLUMNS}
 
-    events: list[SensorEvent] = []
+    vocab: dict[str, int] = {}
+    chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            rejections.append(Rejection(line_no, f"expected {len(header)} fields, got {len(row)}"))
-            continue
-        try:
-            timestamp = parse_timestamp(row[idx["timestamp"]].strip())
-        except ValueError as exc:
-            rejections.append(Rejection(line_no, f"bad timestamp: {exc}"))
-            continue
-        kind = row[idx["sensor_kind"]].strip()
-        if kind not in SENSOR_KINDS:
-            rejections.append(Rejection(line_no, f"unknown sensor_kind: {kind!r}"))
-            continue
-        raw_value = row[idx["value"]].strip()
-        if raw_value not in ("0", "1"):
-            rejections.append(Rejection(line_no, f"non-binary value: {raw_value!r}"))
-            continue
-        location = row[idx["location"]].strip()
-        if not location:
-            rejections.append(Rejection(line_no, "empty location"))
-            continue
-        events.append(
-            SensorEvent(
-                timestamp=timestamp,
-                household_id=row[idx["household_id"]].strip(),
-                sensor_id=row[idx["sensor_id"]].strip(),
-                sensor_kind=kind,
-                location=location,
-                value=int(raw_value),
-            )
-        )
-    events.sort(key=lambda e: e.timestamp)
-    return events, rejections
+    line = 2
+    while rows := _read(reader, CHUNK_ROWS):
+        columns, rejected = _parse_chunk(rows, line, len(header), idx, vocab)
+        chunks.append(columns)
+        rejections.extend(rejected)
+        line += len(rows)
+    columns = [np.concatenate(parts) for parts in zip(*chunks)] or [[]] * 6
+    events = EventTable(*columns, list(vocab))
+    return events.take(np.argsort(events.seconds, kind="stable")), rejections
 
 
 def filter_meal_locations(
     events: Iterable[SensorEvent],
     locations: frozenset[str] | set[str] = DEFAULT_MEAL_LOCATIONS,
-) -> list[SensorEvent]:
+) -> EventTable:
     """Keep only events whose location is in `locations`, order preserved."""
     if not locations:
         raise ValueError("locations set must be non-empty")
-    return [e for e in events if e.location in locations]
+    table = EventTable.from_events(events)
+    wanted = [code for code, name in enumerate(table.names) if name in locations]
+    return table.take(np.isin(table.location, wanted))
 
 
-def group_by_household(events: Iterable[SensorEvent]) -> dict[str, list[SensorEvent]]:
-    """Split an event stream into per-household streams, order preserved."""
-    groups: dict[str, list[SensorEvent]] = {}
-    for e in events:
-        groups.setdefault(e.household_id, []).append(e)
-    return groups
+def group_by_household(events: Iterable[SensorEvent]) -> dict[str, EventTable]:
+    """Split an event stream into per-household streams, order preserved,
+    keyed in order of each household's first event."""
+    table = EventTable.from_events(events)
+    order = np.argsort(table.household, kind="stable")
+    codes, starts = np.unique(table.household[order], return_index=True)
+    groups = sorted(zip(np.split(order, starts[1:]), codes.tolist()), key=lambda g: g[0][0])
+    return {table.names[code]: table.take(rows) for rows, code in groups}
 
 
 def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
@@ -150,20 +340,9 @@ def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
 
 def events_to_csv(events: Iterable[SensorEvent]) -> str:
     """Serialize events back into the input CSV schema."""
-    return csv_text(
-        REQUIRED_COLUMNS,
-        (
-            [
-                e.timestamp.strftime(TIMESTAMP_FORMAT),
-                e.household_id,
-                e.sensor_id,
-                e.sensor_kind,
-                e.location,
-                e.value,
-            ]
-            for e in events
-        ),
-    )
+    table = EventTable.from_events(events)
+    stamps = np.datetime_as_string(table.seconds.astype("datetime64[s]"), unit="s").tolist()
+    return csv_text(REQUIRED_COLUMNS, table.rows(stamps))
 
 
 def rejections_to_csv(rejections: Iterable[Rejection]) -> str:

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from mealclust.events import SensorEvent, TIMESTAMP_FORMAT, csv_text
+from mealclust.events import EventTable, TIMESTAMP_FORMAT, csv_text, epoch_seconds
 
 BASE_DATE = datetime(2024, 1, 1)
 NOISE_LOCATIONS = ("bedroom", "bathroom", "living_room")
@@ -109,18 +109,11 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sd: float, low: flo
     raise RuntimeError("truncated normal failed to land inside bounds")
 
 
-def _timestamps(start: datetime, offsets_s: np.ndarray) -> list[datetime]:
-    """start + each offset in seconds, rounded to whole seconds half to
-    even, as round() does."""
-    offsets = np.rint(offsets_s).astype("timedelta64[s]")
-    return (np.datetime64(start, "s") + offsets).astype(object).tolist()
-
-
-def generate_with_truth(profile: HouseholdProfile) -> tuple[list[SensorEvent], list[PlantedEpisode]]:
+def generate_with_truth(profile: HouseholdProfile) -> tuple[EventTable, list[PlantedEpisode]]:
     """Generate a sensor trace plus its planted ground-truth episodes."""
     profile.validate()
     rng = np.random.default_rng(profile.seed)
-    events: list[SensorEvent] = []
+    meal_seconds: list[np.ndarray] = []
     planted: list[PlantedEpisode] = []
 
     for day in range(profile.days):
@@ -138,20 +131,11 @@ def generate_with_truth(profile: HouseholdProfile) -> tuple[list[SensorEvent], l
             )
             start = day_start + timedelta(seconds=round(start_hour * 3600))
             planted.append(PlantedEpisode(day=day, category=cat.name, start=start, duration_min=duration))
-            # evenly spaced activations across the episode, endpoints included
+            # evenly spaced activations across the episode, endpoints included,
+            # rounded to whole seconds half to even, as round() does
             step_min = 1.0 / cat.events_per_minute
             offsets_min = np.append(np.arange(0.0, duration, step_min), duration)
-            for timestamp in _timestamps(start, offsets_min * 60):
-                events.append(
-                    SensorEvent(
-                        timestamp=timestamp,
-                        household_id=profile.household_id,
-                        sensor_id="kitchen_pir",
-                        sensor_kind="motion",
-                        location="kitchen",
-                        value=1,
-                    )
-                )
+            meal_seconds.append(epoch_seconds(start) + np.rint(offsets_min * 60).astype(np.int64))
 
     n_noise = int(rng.poisson(profile.noise_events_per_day * profile.days)) if profile.days else 0
     total_seconds = profile.days * 86400
@@ -160,24 +144,23 @@ def generate_with_truth(profile: HouseholdProfile) -> tuple[list[SensorEvent], l
     for i in range(n_noise):
         offsets_s[i] = rng.integers(0, max(total_seconds, 1))
         rooms[i] = rng.integers(0, len(NOISE_LOCATIONS))
-    for timestamp, room in zip(_timestamps(BASE_DATE, offsets_s), rooms.tolist()):
-        location = NOISE_LOCATIONS[room]
-        events.append(
-            SensorEvent(
-                timestamp=timestamp,
-                household_id=profile.household_id,
-                sensor_id=f"{location}_pir",
-                sensor_kind="motion",
-                location=location,
-                value=1,
-            )
-        )
 
-    events.sort(key=lambda e: e.timestamp)
-    return events, planted
+    # Codes into `names`: household 0, kind 1 ("motion"), and for room r
+    # (0 the kitchen, then NOISE_LOCATIONS) location 2r + 2 and sensor
+    # 2r + 3. Meals come before noise, so the stable sort keeps meals
+    # first among events at the same second.
+    names = [profile.household_id, "motion"]
+    for room in ("kitchen", *NOISE_LOCATIONS):
+        names += [room, f"{room}_pir"]
+    n_meal = sum(map(len, meal_seconds))
+    room = np.concatenate((np.zeros(n_meal, dtype=np.int64), rooms + 1))
+    seconds = np.concatenate((*meal_seconds, epoch_seconds(BASE_DATE) + offsets_s))
+    n = len(seconds)
+    events = EventTable(seconds, np.zeros(n), 2 * room + 3, np.ones(n), 2 * room + 2, np.ones(n), names)
+    return events.take(np.argsort(seconds, kind="stable")), planted
 
 
-def generate_trace(profile: HouseholdProfile) -> list[SensorEvent]:
+def generate_trace(profile: HouseholdProfile) -> EventTable:
     """Generate a sensor trace (ground truth discarded)."""
     events, _ = generate_with_truth(profile)
     return events

@@ -157,6 +157,41 @@ def test_bad_parameters_fail_at_parse_time(tmp_path, profile_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--gap-min", "nan", "argument --gap-min: gap_threshold_min must be finite and positive"),
+        ("--min-duration-min", "-3", "argument --min-duration-min: min_duration_min must be finite and non-negative"),
+        ("--k-range", "5..2", "argument --k-range: k_range must be non-empty"),
+        ("--g-range", "1..4", "argument --g-range: g_range must start at 2 or above"),
+        ("--eps", "0.5,inf", "argument --eps: eps must be finite and positive"),
+        ("--eps", ",", "argument --eps: eps_values must be non-empty"),
+        ("--min-pts", "0", "argument --min-pts: min_pts must be at least 1"),
+        ("--seed", "-1", "argument --seed: seed must be non-negative"),
+    ],
+)
+def test_bad_parameter_message_names_the_flag(tmp_path, profile_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--synth-profile", str(profile_path), flag, value, "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mealclust run ")
+    assert err.endswith(f"mealclust run: error: {message}\n")
+
+
+def test_malformed_csv_framing_is_an_input_error(tmp_path, capsys):
+    csv_path = tmp_path / "input.csv"
+    csv_path.write_text(
+        "timestamp,household_id,sensor_id,sensor_kind,location,value\n"
+        "2024-03-01T08:00:00,h1,s1,motion,kitchen,1\n"
+        f'2024-03-01T08:01:00,h1,s1,motion,"{"x" * 200_000}",1\n'
+    )
+    assert run_cli("run", "--input", csv_path, "--out", tmp_path / "out") == 2
+    assert "input error: line 3: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
+
 def test_bad_seed_variable_is_a_usage_error(tmp_path, profile_path, monkeypatch, capsys):
     monkeypatch.setenv("MEALCLUST_SEED", "abc")
     out = tmp_path / "out"
@@ -165,6 +200,12 @@ def test_bad_seed_variable_is_a_usage_error(tmp_path, profile_path, monkeypatch,
     assert excinfo.value.code == 1
     assert not out.exists()
     assert "MEALCLUST_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("MEALCLUST_SEED", "-1")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--synth-profile", str(profile_path), "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.endswith("error: argument MEALCLUST_SEED: seed must be non-negative\n")
 
 
 def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):

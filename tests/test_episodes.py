@@ -1,9 +1,17 @@
 from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mealclust.episodes import episodes_to_csv, read_episodes_csv, segment_episodes
-from mealclust.events import SensorEvent
+from mealclust.episodes import (
+    ActivityEpisode,
+    check_thresholds,
+    episodes_to_csv,
+    read_episodes_csv,
+    segment_episodes,
+)
+from mealclust.events import EventTable, SensorEvent, filter_meal_locations, group_by_household
+from mealclust.synth import default_profile, generate_trace
 
 T0 = datetime(2024, 3, 1, 12, 0, 0)
 
@@ -17,6 +25,56 @@ def ev(minutes, hh="h1"):
         location="kitchen",
         value=1,
     )
+
+
+def reference_segment_episodes(events, gap_threshold_min=10.0, min_duration_min=1.0, min_events=2):
+    """The event-at-a-time segmentation loop. The columnar
+    `segment_episodes` must equal it exactly, floats included."""
+    check_thresholds(gap_threshold_min, min_duration_min, min_events)
+    for prev, cur in zip(events, events[1:]):
+        if cur.timestamp < prev.timestamp:
+            raise ValueError("events must be sorted ascending by timestamp")
+
+    episodes = []
+    run = []
+
+    def flush(run):
+        duration_min = (run[-1].timestamp - run[0].timestamp).total_seconds() / 60.0
+        if duration_min < min_duration_min or len(run) < min_events:
+            return
+        start = run[0].timestamp
+        episodes.append(
+            ActivityEpisode(
+                household_id=run[0].household_id,
+                start=start,
+                end=run[-1].timestamp,
+                duration_min=duration_min,
+                start_hour=start.hour + start.minute / 60.0 + start.second / 3600.0,
+                event_count=len(run),
+            )
+        )
+
+    for event in events:
+        if run and (event.timestamp - run[-1].timestamp).total_seconds() / 60.0 >= gap_threshold_min:
+            flush(run)
+            run = []
+        run.append(event)
+    if run:
+        flush(run)
+    return episodes
+
+
+def _events_at(offsets_s):
+    return [SensorEvent(T0 + timedelta(seconds=s), "h1", "s1", "motion", "kitchen", 1) for s in offsets_s]
+
+
+def assert_segments_like_reference(events, **thresholds):
+    episodes = segment_episodes(events, **thresholds)
+    expected = reference_segment_episodes(list(events), **thresholds)
+    assert episodes == expected
+    # exact floats, as Python floats (the CSV writes them through repr)
+    assert [(type(e.duration_min), type(e.start_hour)) for e in episodes] == [(float, float)] * len(expected)
+    assert episodes_to_csv(episodes) == episodes_to_csv(expected)
 
 
 def test_empty_events():
@@ -105,3 +163,65 @@ def test_csv_round_trip():
     events = [ev(m) for m in (0, 2, 4, 40, 43)]
     eps = segment_episodes(events, min_duration_min=0, min_events=1)
     assert read_episodes_csv(episodes_to_csv(eps)) == eps
+
+
+@pytest.mark.parametrize("gap", [0.1, 0.5, 1, 7.3, 10, 10.0, 29.999, 45.5])
+def test_bundled_trace_matches_reference(gap):
+    meals = filter_meal_locations(generate_trace(default_profile(days=120)))
+    assert_segments_like_reference(meals, gap_threshold_min=gap)
+    assert_segments_like_reference(meals, gap_threshold_min=gap, min_duration_min=0.1, min_events=1)
+
+
+def test_non_integer_gaps_and_gap_at_threshold_match_reference():
+    # steps of 6 s (0.1 min), 438 s (7.3 min), 439 s, 600 s (10 min) and
+    # 498 s, where 498 / 60.0 >= 8.3 holds but 498 >= 8.3 * 60.0 does not
+    events = _events_at([0, 6, 12, 450, 888, 1327, 1927, 2527, 2533, 3031])
+    for gap in (0.1, 0.10000001, 7.3, 7.3 + 1 / 60, 8.3, 10, 9.99):
+        for min_duration in (0, 0.1, 7.3, 8.3):
+            for min_events in (1, 2, 3):
+                assert_segments_like_reference(events, gap_threshold_min=gap, min_duration_min=min_duration,
+                                               min_events=min_events)
+
+
+def test_table_and_list_inputs_agree():
+    events = [ev(m, hh) for m, hh in ((0, "a"), (2, "a"), (30, "b"), (31, "a"), (33, "a"))]
+    table = EventTable.from_events(events)
+    assert segment_episodes(table, min_events=1) == segment_episodes(events, min_events=1)
+    assert [e.household_id for e in segment_episodes(table, min_duration_min=0, min_events=1)] == ["a", "b"]
+    assert segment_episodes(group_by_household(table)["a"], min_duration_min=0) == reference_segment_episodes(
+        [e for e in events if e.household_id == "a"], min_duration_min=0)
+
+
+def test_sub_second_timestamps_rejected():
+    with pytest.raises(ValueError, match="whole second"):
+        segment_episodes([ev(0), ev(0.001)])
+
+
+# -- properties ---------------------------------------------------------------
+
+_offsets = st.lists(st.integers(0, 6 * 3600), max_size=60).map(sorted)
+_gaps = st.sampled_from([0.1, 1, 2.5, 7.3, 10, 30, 600])
+_PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_PROPERTY_SETTINGS
+@given(_offsets, _gaps, st.sampled_from([0, 0.5, 1.0, 7.3]), st.integers(1, 4))
+def test_segmentation_matches_reference_property(offsets_s, gap, min_duration, min_events):
+    assert_segments_like_reference(_events_at(offsets_s), gap_threshold_min=gap, min_duration_min=min_duration,
+                                   min_events=min_events)
+
+
+@_PROPERTY_SETTINGS
+@given(_offsets, _gaps)
+def test_segmentation_invariants_property(offsets_s, gap):
+    events = _events_at(offsets_s)
+    episodes = segment_episodes(events, gap_threshold_min=gap, min_duration_min=0, min_events=1)
+    # conservation: with no filter, every event lies in exactly one episode
+    assert sum(e.event_count for e in episodes) == len(events)
+    # disjoint and ordered, separated by at least the gap
+    for a, b in zip(episodes, episodes[1:]):
+        assert a.start <= a.end < b.start
+        assert (b.start - a.end).total_seconds() / 60.0 >= gap
+    # a wider gap never makes more episodes
+    wider = segment_episodes(events, gap_threshold_min=gap * 2, min_duration_min=0, min_events=1)
+    assert len(wider) <= len(episodes)

@@ -1,18 +1,97 @@
+import csv
+import io
 import random
+from datetime import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mealclust import events as events_mod
 from mealclust.events import (
     DEFAULT_MEAL_LOCATIONS,
+    REQUIRED_COLUMNS,
+    SENSOR_KINDS,
+    EventTable,
+    Rejection,
     SchemaError,
     SensorEvent,
     events_to_csv,
     filter_meal_locations,
+    group_by_household,
     parse_events,
+    parse_timestamp,
     rejections_to_csv,
 )
+from mealclust.synth import default_profile, generate_trace
 
 HEADER = "timestamp,household_id,sensor_id,sensor_kind,location,value\n"
+
+
+def reference_parse_events(stream):
+    """The row-at-a-time parser: one `parse_timestamp` call and one
+    `SensorEvent` per row. The columnar parser must equal it exactly."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty input: missing header row") from None
+    header = [h.strip() for h in header]
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            raise SchemaError(f"missing required column: {col}")
+    for col in header:
+        if col not in REQUIRED_COLUMNS:
+            raise SchemaError(f"unknown column: {col}")
+    idx = {col: header.index(col) for col in REQUIRED_COLUMNS}
+
+    events = []
+    rejections = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            rejections.append(Rejection(line_no, f"expected {len(header)} fields, got {len(row)}"))
+            continue
+        try:
+            timestamp = parse_timestamp(row[idx["timestamp"]].strip())
+        except ValueError as exc:
+            rejections.append(Rejection(line_no, f"bad timestamp: {exc}"))
+            continue
+        kind = row[idx["sensor_kind"]].strip()
+        if kind not in SENSOR_KINDS:
+            rejections.append(Rejection(line_no, f"unknown sensor_kind: {kind!r}"))
+            continue
+        raw_value = row[idx["value"]].strip()
+        if raw_value not in ("0", "1"):
+            rejections.append(Rejection(line_no, f"non-binary value: {raw_value!r}"))
+            continue
+        location = row[idx["location"]].strip()
+        if not location:
+            rejections.append(Rejection(line_no, "empty location"))
+            continue
+        events.append(
+            SensorEvent(
+                timestamp=timestamp,
+                household_id=row[idx["household_id"]].strip(),
+                sensor_id=row[idx["sensor_id"]].strip(),
+                sensor_kind=kind,
+                location=location,
+                value=int(raw_value),
+            )
+        )
+    events.sort(key=lambda e: e.timestamp)
+    return events, rejections
+
+
+def assert_parses_like_reference(text):
+    events, rejections = parse_events(text)
+    expected_events, expected_rejections = reference_parse_events(text)
+    assert isinstance(events, EventTable)
+    assert events == expected_events
+    assert list(events) == expected_events
+    assert rejections == expected_rejections
 
 
 def row(ts, hh="h1", sensor="s1", kind="motion", loc="kitchen", value="1"):
@@ -162,3 +241,190 @@ def test_rejections_csv():
 
 def test_default_locations():
     assert DEFAULT_MEAL_LOCATIONS == {"kitchen", "dining_room"}
+
+
+def test_every_rejection_reason_matches_reference():
+    text = (
+        HEADER
+        + row("2024-03-01T08:00:00")
+        + "2024-03-01T08:00:00,h1,s1,motion,kitchen\n"
+        + "2024-03-01T08:00:00,h1,s1,motion,kitchen,1,extra\n"
+        + "\n"
+        + row("2024-03-01 08:00:00")
+        + row("1999-12-31T23:59:59")
+        + row("2024-03-01T08:00:00", kind="pressure")
+        + row("2024-03-01T08:00:00", kind=" ")
+        + row("2024-03-01T08:00:00", value="2")
+        + row("2024-03-01T08:00:00", value="")
+        + row("2024-03-01T08:00:00", loc=" ")
+        # several faults in one row: the first check in order decides
+        + row("bad", kind="pressure", value="7", loc="")
+        + row("2024-03-01T08:00:00", kind="pressure", value="7", loc="")
+        + row("2024-03-01T08:00:00", value="7", loc="")
+        + row(" 2024-03-01T07:00:00 ", hh=" h2 ", sensor=" s2 ", kind=" contact ", loc=" dining_room ", value=" 0 ")
+    )
+    events, rejections = parse_events(text)
+    assert len(events) == 2 and len(rejections) == 12
+    assert [r.line for r in rejections] == sorted(r.line for r in rejections)
+    assert_parses_like_reference(text)
+
+
+TIMESTAMP_EDGES = [
+    "2024-03-01T08:00:00",
+    "2000-01-01T00:00:00",
+    "2100-12-31T23:59:59",
+    "1999-12-31T23:59:59",
+    "2101-01-01T00:00:00",
+    "0000-01-01T00:00:00",
+    "9999-12-31T23:59:59",
+    "2024-02-29T12:00:00",
+    "2023-02-29T12:00:00",
+    "2000-02-29T12:00:00",
+    "2100-02-29T12:00:00",
+    "2024-04-31T12:00:00",
+    "2024-13-01T12:00:00",
+    "2024-00-10T12:00:00",
+    "2024-01-00T12:00:00",
+    "2024-01-01T24:00:00",
+    "2024-01-01T23:60:00",
+    "2024-01-01T23:59:60",
+    "2024-01-01T23:59:61",
+    "\uff12\uff10\uff12\uff14-01-01T08:00:00",
+    "2024-01-01T08:00:0\uff10",
+    "2024-01-01T08:00:0\u0660",
+    "2024-01-01T08:00:0\u00e9",
+    "2024-01-01t08:00:00",
+    "2024/01/01T08:00:00",
+    "2024-01-01T08-00-00",
+    "+024-01-01T08:00:00",
+    "2024-01-01T08:00:+0",
+    " 2024-01-01T08:00:00",
+    "2024-01-01T08:00:00 ",
+    "\t2024-01-01T08:00:00\u3000",
+    "2024-1-1T8:00:00",
+    "2024-01-01T8:0:0",
+    "2024-01-01 08:00:00",
+    "2024-01-01",
+    "2024-01-01T08:00:00Z",
+    "2024-01-01T08:00:00.000",
+    "2024-01-01T08:00",
+    "20240101T080000",
+    "",
+    "2024-01-01T08:00:0",
+]
+
+
+@pytest.mark.parametrize("stamp", TIMESTAMP_EDGES)
+def test_timestamp_edge_matches_reference(stamp):
+    assert_parses_like_reference(HEADER + row(stamp))
+
+
+def test_timestamp_edges_together_match_reference():
+    # every edge in one file, so the array path and the fallback share a batch
+    assert_parses_like_reference(HEADER + "".join(row(s, sensor=f"s{i}") for i, s in enumerate(TIMESTAMP_EDGES)))
+
+
+def test_bundled_trace_matches_reference():
+    text = events_to_csv(generate_trace(default_profile()))
+    assert_parses_like_reference(text)
+
+
+def test_batches_split_anywhere_match_reference(monkeypatch):
+    # faults, blank lines and equal timestamps across batch boundaries
+    rng = random.Random(8)
+    lines = [HEADER]
+    for i in range(300):
+        ts = f"2024-05-{1 + i // 100:02d}T{(i * 7) % 24:02d}:{i % 3:02d}:00"
+        choice = rng.random()
+        if choice < 0.05:
+            lines.append("\n")
+        elif choice < 0.1:
+            lines.append(row(ts, value="x"))
+        elif choice < 0.15:
+            lines.append(row(ts)[:-3] + "\n")
+        else:
+            lines.append(row(ts, hh=f"h{i % 3}", sensor=f"s{i}", loc=rng.choice(["kitchen", "bedroom"])))
+    text = "".join(lines)
+    for chunk_rows in (1, 2, 7, 64, 1000):
+        monkeypatch.setattr(events_mod, "CHUNK_ROWS", chunk_rows)
+        assert_parses_like_reference(text)
+
+
+def test_oversized_field_is_a_schema_error_naming_the_line():
+    text = HEADER + row("2024-03-01T08:00:00") + row("2024-03-01T09:00:00", loc='"' + "x" * 200_000 + '"')
+    with pytest.raises(SchemaError, match="line 3: malformed CSV"):
+        parse_events(text)
+
+
+def test_table_slicing_and_indexing():
+    text = HEADER + row("2024-03-01T08:00:00", sensor="a") + row("2024-03-01T09:00:00", sensor="b")
+    events, _ = parse_events(text)
+    rows = list(events)
+    assert events[-1] == rows[-1] == events[1]
+    assert isinstance(events[1:], EventTable) and events[1:] == rows[1:]
+    assert events[::-1] == rows[::-1]
+    with pytest.raises(IndexError):
+        events[2]
+    assert events != rows[:1] and events != "ab"
+
+
+def test_group_by_household_keeps_order_and_first_appearance():
+    text = (HEADER + row("2024-03-01T08:00:00", hh="b") + row("2024-03-01T08:00:00", hh="a")
+            + row("2024-03-01T09:00:00", hh="b", sensor="s2"))
+    events, _ = parse_events(text)
+    groups = group_by_household(events)
+    assert list(groups) == ["b", "a"]
+    assert groups["b"] == [e for e in events if e.household_id == "b"]
+    assert all(isinstance(g, EventTable) for g in groups.values())
+
+
+# -- properties ---------------------------------------------------------------
+
+_names = st.text(alphabet="abcdefghij_-. 0123456789", min_size=1, max_size=8).map(str.strip).filter(bool)
+_events = st.builds(
+    SensorEvent,
+    timestamp=st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2100, 12, 31, 23, 59, 59)).map(
+        lambda ts: ts.replace(microsecond=0)),
+    household_id=_names,
+    sensor_id=_names,
+    sensor_kind=st.sampled_from(sorted(SENSOR_KINDS)),
+    location=_names,
+    value=st.sampled_from([0, 1]),
+)
+_PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@_PROPERTY_SETTINGS
+@given(st.lists(_events, max_size=40))
+def test_csv_round_trip_property(events):
+    ordered = sorted(events, key=lambda e: e.timestamp)
+    text = events_to_csv(events)
+    parsed, rejections = parse_events(text)
+    assert not rejections
+    assert parsed == ordered
+    assert parse_events(events_to_csv(parsed))[0] == parsed
+    assert (parsed, rejections) == reference_parse_events(text)
+
+
+@_PROPERTY_SETTINGS
+@given(st.lists(_events, max_size=40), st.sampled_from([{"kitchen"}, {"a", "b"}, {"kitchen", "dining_room"}]))
+def test_table_equals_event_list_property(events, locations):
+    table = EventTable.from_events(events)
+    assert table == events and list(table) == events and len(table) == len(events)
+    assert filter_meal_locations(table, locations) == [e for e in events if e.location in locations]
+    groups = group_by_household(table)
+    expected: dict = {}
+    for e in events:
+        expected.setdefault(e.household_id, []).append(e)
+    assert list(groups) == list(expected)
+    assert all(groups[h] == expected[h] for h in expected)
+
+
+@_PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 5), _names), max_size=40))
+def test_equal_timestamps_keep_input_order_property(rows):
+    # few distinct seconds, so most timestamps tie
+    text = HEADER + "".join(row(f"2024-03-01T08:00:0{sec}", sensor=name) for sec, name in rows)
+    events, _ = parse_events(text)
+    assert [e.sensor_id for e in events] == [name for _, name in sorted(rows, key=lambda r: r[0])]
+    assert_parses_like_reference(text)
