@@ -14,6 +14,15 @@ so identical inputs always yield identical labels:
 
 This is classical DBSCAN (Ester et al., KDD 1996) with points visited in
 ascending index order: a border point joins the first cluster to reach it.
+
+A sweep labels every eps from one minimum spanning tree. Let cd_i be the
+min_pts-th smallest distance from point i, i itself counted at 0; then i
+is a core point at eps exactly when cd_i < eps, and two core points are
+joined at eps exactly when max(d_ij, cd_i, cd_j) < eps. That is the
+HDBSCAN* mutual-reachability weight (Campello, Moulavi & Sander, PAKDD
+2013), so the core clusters at every eps are the components of its
+minimum spanning tree cut below eps (Schubert et al., "DBSCAN Revisited,
+Revisited", TODS 2017).
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from mealclust.kmeans import _as_array
 DEFAULT_MIN_PTS = 5
 
 NOISE = -1
+
+# Rows of distances taken at once in the blocked passes.
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -51,69 +63,163 @@ def check_params(eps_values: Sequence[float], min_pts: int) -> None:
         raise ValueError("min_pts must be at least 1")
 
 
-def _pairwise_distances(data: np.ndarray) -> np.ndarray:
-    diff = data[:, None, :] - data[None, :, :]
-    dist = np.einsum("ijd,ijd->ij", diff, diff)
-    return np.sqrt(dist, out=dist)  # in place: one (N, N) float array at a time
+def _distances(cols: np.ndarray, points: slice | np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Distances from the points `points` (an index array or slice) to all
+    N points, written into `out` of shape (len(points), N); `scratch` is
+    a buffer of the same shape.
+
+    Built one coordinate at a time from the (D, N) columns `cols`, with
+    the squares summed in coordinate order and one square root, so a
+    distance has the same bits in every block of rows it is taken in,
+    and d_ij equals d_ji.
+    """
+    out.fill(0.0)
+    for col in cols:
+        np.subtract(col, col[points, None], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(out, scratch, out=out)
+    return np.sqrt(out, out=out)
 
 
 def eps_neighborhood(p_index: int, m: FeatureMatrix | np.ndarray, eps: float) -> set[int]:
     """Indices strictly closer than eps to point p (p itself included)."""
     check_params([eps], 1)
-    data = _as_array(m)
-    diff = data - data[p_index]
-    dist = np.sqrt(np.einsum("nd,nd->n", diff, diff))
+    cols = _as_array(m).T
+    row = np.empty((2, 1, cols.shape[1]))
+    dist = _distances(cols, np.array([p_index]), *row)[0]
     return set(np.flatnonzero(dist < eps).tolist())
 
 
-def _label(adjacent: np.ndarray, min_pts: int) -> tuple[np.ndarray, int]:
-    """Cluster labels and cluster count from a symmetric (N, N) boolean
-    ``dist < eps`` matrix whose diagonal is True.
+def _core_distances(cols: np.ndarray, min_pts: int, block: np.ndarray) -> np.ndarray:
+    """cd_i, the min_pts-th smallest distance from point i with i itself
+    counted at 0, or inf when min_pts > N. Point i is a core point at eps
+    exactly when cd_i < eps. `block` holds two (BLOCK_ROWS, N) buffers."""
+    n = cols.shape[1]
+    core_dist = np.full(n, np.inf)
+    if min_pts > n:
+        return core_dist
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        dist = _distances(cols, slice(start, stop), *block[:, : stop - start])
+        dist.partition(min_pts - 1, axis=1)
+        core_dist[start:stop] = dist[:, min_pts - 1]
+    return core_dist
 
-    Each cluster grows breadth-first from its lowest unclaimed core index,
-    one frontier of newly reached cores at a time; every point within eps
-    of a member core that no earlier cluster has claimed joins it.
+
+def _spanning_tree(cols: np.ndarray, core_dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prim's minimum spanning tree under the mutual-reachability weight
+    max(d_ij, cd_i, cd_j), one distance row per step. Returns the N - 1
+    edges as (point, parent, weight), in the order the points joined."""
+    n = len(core_dist)
+    joined = np.zeros(n, dtype=np.intp)
+    weight = np.empty(n)
+    parent = np.zeros(n, dtype=np.intp)
+    best = np.full(n, np.inf)  # lightest edge from each point into the tree
+    reach = core_dist.copy()  # inf once a point is in the tree, so its edges never improve
+    in_tree = np.zeros(n, dtype=bool)
+    row = np.empty((2, 1, n))
+    lighter = np.empty(n, dtype=bool)
+    cur = 0
+    for step in range(1, n):
+        in_tree[cur] = True
+        reach[cur] = best[cur] = np.inf
+        w = _distances(cols, slice(cur, cur + 1), *row)[0]
+        np.maximum(w, reach, out=w)
+        np.maximum(w, core_dist[cur], out=w)
+        np.less(w, best, out=lighter)
+        np.copyto(best, w, where=lighter)
+        np.copyto(parent, cur, where=lighter)
+        cur = int(best.argmin())
+        if in_tree[cur]:  # no finite edge left (min_pts > N, or NaN input): join at weight inf
+            cur = int(in_tree.argmin())
+        joined[step], weight[step] = cur, best[cur]
+    return joined[1:], parent[joined[1:]], weight[1:]
+
+
+def _core_labels(tree: tuple[np.ndarray, np.ndarray, np.ndarray], core_dist: np.ndarray,
+                 eps_sorted: list[float]) -> list[np.ndarray]:
+    """Labels of the core points at each eps (ascending), NOISE elsewhere.
+
+    The core clusters at eps are the components of the spanning tree's
+    edges lighter than eps. A union-find that keeps the lower root merges
+    them eps by eps, so each root is its component's lowest core index,
+    and a cluster's id is the rank of its root among the core roots.
     """
-    n = adjacent.shape[0]
-    core = np.count_nonzero(adjacent, axis=1) >= min_pts
-    unclaimed_core = core.copy()
-    labels = np.full(n, NOISE, dtype=int)
-    n_clusters = 0
-    for seed in np.flatnonzero(core):
-        if not unclaimed_core[seed]:
-            continue
-        unclaimed_core[seed] = False
-        reached = np.zeros(n, dtype=bool)
-        frontier = np.array([seed])
-        while frontier.size:
-            near = adjacent[frontier].any(axis=0)
-            reached |= near
-            frontier = np.flatnonzero(near & unclaimed_core)
-            unclaimed_core[frontier] = False
-        labels[reached & (labels == NOISE)] = n_clusters
-        n_clusters += 1
-    return labels, n_clusters
+    n = len(core_dist)
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    order = np.argsort(tree[2], kind="stable")
+    joined, parents, weights = (a[order].tolist() for a in tree)
+    merged = 0
+    labelled = []
+    for eps in eps_sorted:
+        while merged < len(weights) and weights[merged] < eps:
+            a, b = find(joined[merged]), find(parents[merged])
+            root[max(a, b)] = min(a, b)
+            merged += 1
+        roots = np.array(root, dtype=np.intp)
+        while not np.array_equal(up := roots[roots], roots):
+            roots = up
+        core = core_dist < eps
+        labels = np.full(n, NOISE, dtype=int)
+        labels[core] = np.unique(roots[core], return_inverse=True)[1]
+        labelled.append(labels)
+    return labelled
+
+
+def _label_borders(cols: np.ndarray, core_dist: np.ndarray, eps_sorted: list[float],
+                   labelled: list[np.ndarray], block: np.ndarray) -> None:
+    """Give each point that is not core at an eps the lowest label among the
+    core points closer than eps, in place; it stays NOISE when there is
+    none. One blocked pass over the rows of such points."""
+    n = len(core_dist)
+    core_ids = [np.where(labels == NOISE, n, labels) for labels in labelled]  # n: not a core
+    candidates = np.flatnonzero(core_dist >= eps_sorted[0])
+    within = np.empty(block.shape[1:], dtype=bool)
+    for start in range(0, len(candidates), BLOCK_ROWS):
+        rows = candidates[start : start + BLOCK_ROWS]
+        dist = _distances(cols, rows, *block[:, : len(rows)])
+        near = within[: len(rows)]
+        for eps, labels, ids in zip(eps_sorted, labelled, core_ids):
+            border = core_dist[rows] >= eps
+            if not border.any():
+                break  # cd >= eps only shrinks as eps grows
+            np.less(dist, eps, out=near)
+            owner = np.min(np.broadcast_to(ids, near.shape), axis=1, where=near, initial=n)
+            labels[rows[border]] = np.where(owner < n, owner, NOISE)[border]
 
 
 def dbscan_fits(
     m: FeatureMatrix | np.ndarray, eps_values: list[float], min_pts: int = DEFAULT_MIN_PTS
 ) -> list[DbscanResult]:
-    """One DBSCAN result per eps value, from a single exact O(N^2)
-    distance matrix.
+    """One DBSCAN result per eps value, in the caller's order, from one
+    mutual-reachability spanning tree in O(N) memory: distances are taken
+    BLOCK_ROWS rows or one row at a time, never as an N x N matrix.
 
     Labels follow the module's ordering rule: clusters numbered by their
     lowest core index, each border point in the lowest-id cluster among
-    its core neighbors.
+    its core neighbors. A repeated eps gets its own labels array.
     """
     check_params(eps_values, min_pts)
-    dist = _pairwise_distances(_as_array(m))
-    adjacent = np.empty(dist.shape, dtype=bool)  # reused, so one (N, N) mask lives at a time
-    results = []
-    for eps in eps_values:
-        np.less(dist, eps, out=adjacent)
-        labels, n_clusters = _label(adjacent, min_pts)
-        results.append(DbscanResult(eps=eps, min_pts=min_pts, labels=labels, n_clusters=n_clusters))
-    return results
+    cols = np.ascontiguousarray(_as_array(m).T)
+    n = cols.shape[1]
+    block = np.empty((2, min(BLOCK_ROWS, n), n))
+    core_dist = _core_distances(cols, min_pts, block)
+    eps_sorted = sorted(set(eps_values))
+    labelled = _core_labels(_spanning_tree(cols, core_dist), core_dist, eps_sorted)
+    _label_borders(cols, core_dist, eps_sorted, labelled, block)
+    by_eps = dict(zip(eps_sorted, labelled))
+    return [
+        DbscanResult(eps=eps, min_pts=min_pts, labels=by_eps[eps].copy(),
+                     n_clusters=int(by_eps[eps].max(initial=NOISE)) + 1)
+        for eps in eps_values
+    ]
 
 
 def dbscan_fit(m: FeatureMatrix | np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> DbscanResult:

@@ -81,6 +81,19 @@ def _json_bytes(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _utf8_error(path, exc: UnicodeDecodeError) -> SchemaError:
+    """A SchemaError naming the first line of `path` that is not valid UTF-8;
+    the decoder's own position is an offset into its read buffer."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                byte = line[bad.start]
+                return SchemaError(f"line {line_no}: not valid UTF-8: byte 0x{byte:02x} at offset {bad.start} of the line")
+    return SchemaError(f"not valid UTF-8: {exc.reason}")
+
+
 def _load_events(config: RunConfig):
     if config.input_path is not None:
         try:
@@ -88,6 +101,8 @@ def _load_events(config: RunConfig):
                 return events_mod.parse_events(fh)
         except OSError as exc:
             raise SchemaError(f"unreadable input: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(config.input_path, exc) from None
     profile = synth_mod.load_profile(config.synth_profile_path)
     return synth_mod.generate_trace(profile), []
 

@@ -6,9 +6,9 @@ import pytest
 from mealclust import gmm, pipeline
 from mealclust.cli import main
 from mealclust.episodes import read_episodes_csv
-from mealclust.events import parse_events
+from mealclust.events import events_to_csv, parse_events
 from mealclust.gmm import FitError
-from mealclust.synth import default_profile, format_profile
+from mealclust.synth import default_profile, format_profile, generate_trace
 from mealclust.validation import SweepReport
 
 
@@ -190,6 +190,16 @@ def test_malformed_csv_framing_is_an_input_error(tmp_path, capsys):
     )
     assert run_cli("run", "--input", csv_path, "--out", tmp_path / "out") == 2
     assert "input error: line 3: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
+
+def test_non_utf8_input_names_its_line(tmp_path, capsys):
+    lines = events_to_csv(generate_trace(default_profile(days=60))).encode().splitlines(keepends=True)
+    lines[3000] = lines[3000][:20] + b"\xff" + lines[3000][21:]
+    assert sum(map(len, lines[:3000])) > 64 * 1024  # well past the decoder's first buffer
+    csv_path = tmp_path / "input.csv"
+    csv_path.write_bytes(b"".join(lines))
+    assert run_cli("run", "--input", csv_path, "--out", tmp_path / "out") == 2
+    assert "input error: line 3001: not valid UTF-8: byte 0xff at offset 20 of the line" in capsys.readouterr().err
 
 
 def test_bad_seed_variable_is_a_usage_error(tmp_path, profile_path, monkeypatch, capsys):

@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mealclust import dbscan as dbscan_mod
 from mealclust.dbscan import DEFAULT_MIN_PTS, NOISE, dbscan_fit, dbscan_fits, eps_neighborhood
@@ -91,6 +94,55 @@ def reference_fifo_dbscan(data, eps, min_pts):
                 queue.extend(neighborhoods[q])
         cluster_id += 1
     return np.array(labels, dtype=int), cluster_id
+
+
+def _pairwise_distances(data: np.ndarray) -> np.ndarray:
+    diff = data[:, None, :] - data[None, :, :]
+    dist = np.einsum("ijd,ijd->ij", diff, diff)
+    return np.sqrt(dist, out=dist)  # in place: one (N, N) float array at a time
+
+
+def _label(adjacent: np.ndarray, min_pts: int) -> tuple[np.ndarray, int]:
+    """Cluster labels and cluster count from a symmetric (N, N) boolean
+    ``dist < eps`` matrix whose diagonal is True.
+
+    Each cluster grows breadth-first from its lowest unclaimed core index,
+    one frontier of newly reached cores at a time; every point within eps
+    of a member core that no earlier cluster has claimed joins it.
+    """
+    n = adjacent.shape[0]
+    core = np.count_nonzero(adjacent, axis=1) >= min_pts
+    unclaimed_core = core.copy()
+    labels = np.full(n, NOISE, dtype=int)
+    n_clusters = 0
+    for seed in np.flatnonzero(core):
+        if not unclaimed_core[seed]:
+            continue
+        unclaimed_core[seed] = False
+        reached = np.zeros(n, dtype=bool)
+        frontier = np.array([seed])
+        while frontier.size:
+            near = adjacent[frontier].any(axis=0)
+            reached |= near
+            frontier = np.flatnonzero(near & unclaimed_core)
+            unclaimed_core[frontier] = False
+        labels[reached & (labels == NOISE)] = n_clusters
+        n_clusters += 1
+    return labels, n_clusters
+
+
+def reference_matrix_fits(data, eps_values, min_pts):
+    """The former one-matrix sweep: every eps labelled from a single
+    (N, N) distance matrix by a breadth-first growth of each cluster.
+    dbscan_fits must give the same labels and cluster counts. Returns a
+    (labels, n_clusters) pair per eps."""
+    dist = _pairwise_distances(np.asarray(data, dtype=float))
+    adjacent = np.empty(dist.shape, dtype=bool)  # reused, so one (N, N) mask lives at a time
+    results = []
+    for eps in eps_values:
+        np.less(dist, eps, out=adjacent)
+        results.append(_label(adjacent, min_pts))
+    return results
 
 
 def assert_fits_match_references(data, eps_values, min_pts):
@@ -244,14 +296,16 @@ def test_cluster_ids_contiguous():
 
 
 def test_fits_check_parameters_before_distances(monkeypatch):
-    def no_distances(data):
-        raise AssertionError("distance matrix built before the parameter checks")
+    def no_distances(*args):
+        raise AssertionError("distances taken before the parameter checks")
 
-    monkeypatch.setattr(dbscan_mod, "_pairwise_distances", no_distances)
+    monkeypatch.setattr(dbscan_mod, "_distances", no_distances)
     m = matrix([[0.0], [1.0]])
     for eps_values, min_pts in (([1.0, 0.0], 5), ([2.0, -1.0], 5), ([1.0], 0)):
         with pytest.raises(ValueError):
             dbscan_fits(m, eps_values, min_pts)
+    with pytest.raises(AssertionError):  # valid parameters do reach the patched helper
+        dbscan_fits(m, [1.0], 1)
 
 
 def test_fits_match_references_random_1_to_3d():
@@ -313,3 +367,58 @@ def test_fits_match_references_on_default_profile(scaling):
     episodes = segment_episodes(filter_meal_locations(generate_trace(default_profile())))
     m = scale_features(build_features(episodes), scaling)
     assert_fits_match_references(m.data, DEFAULT_EPS_VALUES, DEFAULT_MIN_PTS)
+
+
+@pytest.mark.parametrize("scaling", ["none", "zscore"])
+def test_fits_match_matrix_reference_on_two_year_profile(scaling):
+    episodes = segment_episodes(filter_meal_locations(generate_trace(default_profile(days=730))))
+    m = scale_features(build_features(episodes), scaling)
+    assert len(m.data) == 2607
+    results = dbscan_fits(m, DEFAULT_EPS_VALUES, DEFAULT_MIN_PTS)
+    want = reference_matrix_fits(m.data, DEFAULT_EPS_VALUES, DEFAULT_MIN_PTS)
+    for result, (labels, n_clusters) in zip(results, want, strict=True):
+        assert np.array_equal(result.labels, labels), f"eps={result.eps}"
+        assert result.n_clusters == n_clusters, f"eps={result.eps}"
+
+
+# Mostly exact distances between points of a 0..5 integer grid, so eps lands on ties.
+_GRID_EPS = [0.5, 1.0, float(np.sqrt(2.0)), 2.0, float(np.sqrt(5.0)), 2.5, 3.0]
+
+
+@st.composite
+def _dbscan_inputs(draw):
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coords = st.integers(0, 5).map(float)
+        eps = st.sampled_from(_GRID_EPS)
+    else:
+        coords = st.floats(-10, 10, allow_subnormal=False)
+        eps = st.floats(0.01, 8.0)
+    data = np.array(draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n)))
+    eps_values = draw(st.lists(eps, min_size=1, max_size=5))
+    eps_values += draw(st.lists(st.sampled_from(eps_values), max_size=3))  # repeats
+    return data, draw(st.permutations(eps_values)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dbscan_inputs())
+def test_fits_match_references_property(inputs):
+    data, eps_values, min_pts = inputs
+    assert_fits_match_references(data, eps_values, min_pts)  # also checks the caller's eps order
+    results = dbscan_fits(matrix(data), eps_values, min_pts)
+    for i, j in itertools.combinations(range(len(eps_values)), 2):
+        if eps_values[i] == eps_values[j]:
+            assert np.array_equal(results[i].labels, results[j].labels)
+            assert not np.shares_memory(results[i].labels, results[j].labels)
+
+
+def test_fits_memory_stays_linear():
+    # the (N, N) matrix sweep peaked near 570 MiB on these points
+    data = np.random.default_rng(53).uniform(0, 10, size=(5000, 2))
+    tracemalloc.start()
+    try:
+        dbscan_fits(matrix(data), [0.05, 0.2, 0.5], DEFAULT_MIN_PTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
