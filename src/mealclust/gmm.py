@@ -2,8 +2,9 @@
 
 The mixture density is a weighted sum of full-covariance multivariate
 normals. Fits are initialized from a K-Means partition with the same
-seed, responsibilities are computed in log-space, and every M-step
-floors covariance diagonals to keep components non-singular.
+seed (fitted here, or handed over by a caller that already holds it),
+responsibilities are computed in log-space, and every M-step floors
+covariance diagonals to keep components non-singular.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mealclust.features import FeatureMatrix
-from mealclust.kmeans import kmeans_fit, _as_array, _centred
+from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array, _centred
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 1e-6
@@ -162,8 +163,10 @@ def responsibilities(x: np.ndarray, params: GmmParams) -> np.ndarray:
     return np.exp(log_wd[:, 0] - _logsumexp(log_wd)[0])
 
 
-def _init_from_kmeans(data: np.ndarray, g: int, seed: int) -> GmmParams:
-    km = kmeans_fit(data, k=g, seed=seed)
+def _init_from_kmeans(data: np.ndarray, km: KMeansModel) -> GmmParams:
+    """Start parameters from a K-Means partition of the data: cluster
+    shares, centroids and floored cluster covariances."""
+    g = km.k
     n, d = data.shape
     weights = np.bincount(km.labels, minlength=g).astype(float) / n
     means = km.centroids.copy()
@@ -187,9 +190,12 @@ def gmm_fit(
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
+    kmeans_model: KMeansModel | None = None,
 ) -> GmmModel:
     """Fit a g-component mixture by EM.
 
+    Starts from `kmeans_model` when given, which must be the default
+    K-Means fit of these rows with k = g and this seed; otherwise fits it.
     Stops when the relative log-likelihood improvement drops below `tol`
     or after `max_iter` iterations. Hard labels are the per-point argmax
     responsibility (ties resolve to the lowest component index).
@@ -200,8 +206,15 @@ def gmm_fit(
         raise ValueError(f"g must be in [1, {n}], got {g}")
     if n < 2:
         raise ValueError("gmm_fit requires at least 2 points")
+    if kmeans_model is None:
+        kmeans_model = kmeans_fit(data, k=g, seed=seed)
+    elif (kmeans_model.k, kmeans_model.seed, len(kmeans_model.labels)) != (g, seed, n):
+        raise ValueError(
+            f"K-Means model (k={kmeans_model.k}, seed={kmeans_model.seed}, {len(kmeans_model.labels)} rows)"
+            f" does not match g={g}, seed={seed}, {n} rows"
+        )
 
-    params = _init_from_kmeans(data, g, seed)
+    params = _init_from_kmeans(data, kmeans_model)
     weights, means, covariances = params.weights, params.means, params.covariances
     data_t = np.ascontiguousarray(data.T)
     diff = _centred(data_t, means)

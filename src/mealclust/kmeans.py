@@ -56,9 +56,9 @@ def _centred(data_t: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return diff
 
 
-def _sq_distances(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (k, N)."""
-    diff = _centred(data.T, centroids)
+def _sq_distances(data_t: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from the (D, N) data, shape (k, N)."""
+    diff = _centred(data_t, centroids)
     return np.einsum("knd,knd->kn", diff, diff)
 
 
@@ -70,15 +70,20 @@ def assign(m: FeatureMatrix | np.ndarray, centroids: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: data has {data.shape[1]} columns, centroids {centroids.shape[1]}"
         )
-    return np.argmin(_sq_distances(data, centroids), axis=0)
+    return np.argmin(_sq_distances(data.T, centroids), axis=0)
 
 
-def _seed_centroids(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy distance-weighted seeding (k-means++ style)."""
+def _seed_centroids(data: np.ndarray, data_t: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Greedy distance-weighted seeding (k-means++ style).
+
+    d2 keeps each point's squared distance to its nearest chosen centroid,
+    lowered against each new centroid in turn.
+    """
     n = data.shape[0]
     chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
-        d2 = _sq_distances(data, data[chosen]).min(axis=0)
+        np.minimum(d2, _sq_distances(data_t, data[chosen[-1:]])[0], out=d2)
         total = d2.sum()
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
@@ -87,6 +92,29 @@ def _seed_centroids(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             idx = int(rng.integers(n))
         chosen.append(idx)
     return data[chosen].copy()
+
+
+def _cluster_means(data: np.ndarray, data_t: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each non-empty cluster's members, shape (k, D); rows of
+    empty clusters are left unset.
+
+    Equal bit for bit to ``data[labels == j].mean(axis=0)``. For D >= 2
+    that mean adds the members row after row, along a strided axis, and so
+    does ``np.bincount`` with weights, in the same order. For D = 1 the
+    members form a contiguous axis, which numpy adds pairwise, so there the
+    masks stay.
+    """
+    k, d = len(counts), data.shape[1]
+    means = np.empty((k, d))
+    nonempty = counts > 0
+    if d == 1:
+        for j in np.flatnonzero(nonempty):
+            means[j] = data[labels == j].mean(axis=0)
+        return means
+    for c in range(d):
+        means[:, c] = np.bincount(labels, weights=data_t[c], minlength=k)
+    means[nonempty] /= counts[nonempty, None]
+    return means
 
 
 def kmeans_fit(
@@ -112,27 +140,25 @@ def kmeans_fit(
         raise ValueError("tol must be non-negative")
 
     rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(data, k, rng)
+    data_t = np.ascontiguousarray(data.T)
+    centroids = _seed_centroids(data, data_t, k, rng)
 
     labels = np.zeros(n, dtype=int)
     inertia = 0.0
     inertia_history: list[float] = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        sq = _sq_distances(data, centroids)
+        sq = _sq_distances(data_t, centroids)
         labels = np.argmin(sq, axis=0)
-        inertia = float(sq[labels, np.arange(n)].sum())
+        own_dist = sq.min(axis=0)  # each point's distance to its assigned centroid
+        inertia = float(own_dist.sum())
         inertia_history.append(inertia)
 
-        new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] > 0:
-                new_centroids[j] = data[labels == j].mean(axis=0)
+        new_centroids = _cluster_means(data, data_t, labels, counts)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # farthest point from its own assigned centroid seeds the repair
-            own_dist = sq[labels, np.arange(n)]
             order = np.argsort(-own_dist, kind="stable")
             for slot, j in enumerate(empty):
                 new_centroids[j] = data[order[slot]]
@@ -143,9 +169,9 @@ def kmeans_fit(
             break
 
     # final assignment against the converged centroids
-    sq = _sq_distances(data, centroids)
+    sq = _sq_distances(data_t, centroids)
     labels = np.argmin(sq, axis=0)
-    inertia = float(sq[labels, np.arange(n)].sum())
+    inertia = float(sq.min(axis=0).sum())
     inertia_history.append(inertia)
 
     return KMeansModel(

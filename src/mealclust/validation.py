@@ -4,7 +4,8 @@ The Davies-Bouldin index (lower is better) scores a hard partition by
 the mean, over clusters, of the worst-case ratio of summed scatters to
 centroid distance. Sweeps fit one model per parameter value and select
 the minimum-DBI entry, breaking ties toward the smallest parameter;
-the report keeps that entry's fitted model.
+the report keeps that entry's fitted model. The K-Means report keeps
+every fit, so the GMM sweep can start from them instead of refitting.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class SweepReport:
     seed: int = 0
     # the fitted model behind `best`; not serialised
     best_model: KMeansModel | GmmModel | DbscanResult | None = field(default=None, compare=False, repr=False)
+    # every K-Means fit, in entry order, for the GMM sweep to start from; not serialised
+    models: list[KMeansModel] = field(default_factory=list, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -102,9 +105,10 @@ def davies_bouldin(m: FeatureMatrix | np.ndarray, labels: np.ndarray, exclude_no
     if k < 2:
         raise UndefinedDbiError(f"DBI needs at least 2 clusters, got {k}")
 
-    centroids = np.array([data[labels == c].mean(axis=0) for c in ids])
+    members = [data[labels == c] for c in ids]
+    centroids = np.array([rows.mean(axis=0) for rows in members])
     scatters = np.array(
-        [np.sqrt(((data[labels == c] - centroids[i]) ** 2).sum(axis=1)).mean() for i, c in enumerate(ids)]
+        [np.sqrt(((rows - centre) ** 2).sum(axis=1)).mean() for rows, centre in zip(members, centroids)]
     )
     diff = centroids[:, None, :] - centroids[None, :, :]
     cdist = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
@@ -176,9 +180,13 @@ def sweep_kmeans(
     seed: int = 0,
     household_id: str = "",
 ) -> SweepReport:
-    """One kmeans_fit + DBI per k; best = minimum DBI."""
+    """One kmeans_fit + DBI per k; best = minimum DBI. The report keeps
+    every fit in `models`."""
     ks = _param_range(k_range, len(_as_array(m)), "k_range")
-    return _sweep(m, "kmeans", ((k, kmeans_fit(m, k=k, seed=seed)) for k in ks), seed, household_id)
+    fits = [kmeans_fit(m, k=k, seed=seed) for k in ks]
+    report = _sweep(m, "kmeans", zip(ks, fits), seed, household_id)
+    report.models = fits
+    return report
 
 
 def sweep_gmm(
@@ -186,14 +194,21 @@ def sweep_gmm(
     g_range: range = DEFAULT_G_RANGE,
     seed: int = 0,
     household_id: str = "",
+    kmeans_models: Iterable[KMeansModel] = (),
 ) -> SweepReport:
     """One gmm_fit + DBI on hard labels per g.
+
+    Each fit starts from the model in `kmeans_models` whose k is g (for
+    example a K-Means sweep's `models` with the same seed), and fits its
+    own K-Means start where there is none.
 
     Components left empty by the hard assignment are simply absent from
     the labeling, so an entry's n_clusters may be below its g.
     """
     gs = _param_range(g_range, len(_as_array(m)), "g_range")
-    return _sweep(m, "gmm", ((g, gmm_fit(m, g=g, seed=seed)) for g in gs), seed, household_id)
+    starts = {km.k: km for km in kmeans_models}
+    fits = ((g, gmm_fit(m, g=g, seed=seed, kmeans_model=starts.get(g))) for g in gs)
+    return _sweep(m, "gmm", fits, seed, household_id)
 
 
 def sweep_dbscan(

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from mealclust import gmm, pipeline
+from mealclust import gmm, kmeans, pipeline
 from mealclust.cli import main
 from mealclust.episodes import read_episodes_csv
 from mealclust.events import events_to_csv, parse_events
@@ -218,23 +218,38 @@ def test_bad_seed_variable_is_a_usage_error(tmp_path, profile_path, monkeypatch,
     assert capsys.readouterr().err.endswith("error: argument MEALCLUST_SEED: seed must be non-negative\n")
 
 
-def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):
-    real_fit = gmm.gmm_fit
-    fitted_g = []
+def count_fits(monkeypatch, real_fit, param):
+    """Wrap every name a mealclust module binds `real_fit` to, so a refit
+    anywhere counts; returns the list of `param` values it is called with."""
+    fitted = []
 
     def counting_fit(*args, **kwargs):
-        fitted_g.append(kwargs["g"])
+        fitted.append(kwargs[param])
         return real_fit(*args, **kwargs)
 
-    # patch every name a mealclust module binds the fit to, so a refit anywhere counts
     for name, module in list(sys.modules.items()):
         if name.startswith("mealclust"):
             for attr, value in list(vars(module).items()):
                 if value is real_fit:
                     monkeypatch.setattr(module, attr, counting_fit)
+    return fitted
+
+
+def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):
+    fitted_g = count_fits(monkeypatch, gmm.gmm_fit, "g")
     config = pipeline.RunConfig(synth_profile_path=profile_path, g_range=range(2, 11), out_dir=tmp_path / "out")
     assert pipeline.run_pipeline(config).exit_code == 0
     assert sorted(fitted_g) == list(range(2, 11))
+
+
+def test_each_kmeans_is_fitted_once_per_k(tmp_path, profile_path, monkeypatch):
+    # the GMM sweep starts from the K-Means sweep's fits instead of refitting them
+    fitted_k = count_fits(monkeypatch, kmeans.kmeans_fit, "k")
+    config = pipeline.RunConfig(
+        synth_profile_path=profile_path, k_range=range(2, 11), g_range=range(2, 11), out_dir=tmp_path / "out"
+    )
+    assert pipeline.run_pipeline(config).exit_code == 0
+    assert sorted(fitted_k) == list(range(2, 11))
 
 
 def test_seed_env_fallback(tmp_path, profile_path, monkeypatch):

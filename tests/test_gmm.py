@@ -17,7 +17,9 @@ from mealclust.gmm import (
     gmm_fit,
     responsibilities,
 )
+from mealclust.kmeans import kmeans_fit
 from mealclust.synth import default_profile, generate_trace
+from mealclust.validation import sweep_kmeans
 
 
 def matrix(data):
@@ -69,7 +71,7 @@ def reference_gmm_fit(data, g, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL)
     """Per-component EM over (N, D) and (N, g) arrays: the loop form that
     gmm_fit must reproduce bit for bit."""
     n, d = data.shape
-    params = _init_from_kmeans(data, g, seed)
+    params = _init_from_kmeans(data, kmeans_fit(data, k=g, seed=seed))
     eye = np.eye(d)
     ll_trace = []
     weights_trace = []
@@ -162,6 +164,27 @@ def test_fit_matches_reference_em_on_planted_study(seed):
     m = scale_features(build_features(segment_episodes(filter_meal_locations(events))), "zscore")
     for g in range(2, 11):
         assert_same_fit(gmm_fit(m, g=g, seed=seed), reference_gmm_fit(m.data, g, seed=seed))
+
+
+def test_fit_from_a_given_kmeans_model_equals_its_own_start():
+    events = generate_trace(default_profile(days=365, seed=0))
+    m = scale_features(build_features(segment_episodes(filter_meal_locations(events))), "zscore")
+    report = sweep_kmeans(m, seed=4)
+    for km in report.models:
+        assert_same_fit(gmm_fit(m, g=km.k, seed=4, kmeans_model=km), gmm_fit(m, g=km.k, seed=4))
+
+
+def test_fit_rejects_a_mismatched_kmeans_model():
+    rng = np.random.default_rng(43)
+    data = rng.normal(size=(40, 2))
+    km = kmeans_fit(data, k=3, seed=1)
+    gmm_fit(matrix(data), g=3, seed=1, kmeans_model=km)
+    with pytest.raises(ValueError, match="does not match"):
+        gmm_fit(matrix(data), g=4, seed=1, kmeans_model=km)  # wrong k
+    with pytest.raises(ValueError, match="does not match"):
+        gmm_fit(matrix(data), g=3, seed=2, kmeans_model=km)  # wrong seed
+    with pytest.raises(ValueError, match="does not match"):
+        gmm_fit(matrix(data[:30]), g=3, seed=1, kmeans_model=km)  # wrong row count
 
 
 def test_density_peak_of_standard_normal():

@@ -1,11 +1,13 @@
 """Byte-for-byte pins on every artifact the CLI writes.
 
-The sha256 of each file written by ``mealclust generate`` and two
+The sha256 of each file written by ``mealclust generate`` and three
 ``mealclust run`` calls on the 40-day test profile is fixed below, so a
 change to a writer, a sweep or a fit that alters any output byte fails
 here. The raw run reads the generated trace plus three malformed rows,
 so ``rejections.csv`` is covered too; the z-scored run generates its
-trace in memory and sweeps an eps grid suited to z-scored features.
+trace in memory and sweeps an eps grid suited to z-scored features; the
+duration run reads the same trace with one feature column, which pins
+the one-dimensional fits.
 """
 
 import hashlib
@@ -20,6 +22,16 @@ MALFORMED_ROWS = (
 )
 
 GOLDEN = {
+    "duration/house-1/categories.csv": "7fc80f2130770106684aa76ae5a4527cbcf4192b3b7bfee620d05ed97e0ee73e",
+    "duration/house-1/dbscan_dbi.csv": "82145c940c57739fd598224e6aca10b1bbb7d041d4e93bbcb759d03b26eee063",
+    "duration/house-1/episodes.csv": "634b9550c45352fc0c5e356b3d04be0dcaf6b9c2537d855f85b2916ab3cf43e3",
+    "duration/house-1/gmm_dbi.csv": "f15cead9eed63ce41e5ebe4c6198842f94769f2d7d9f5332565f843434d12053",
+    "duration/house-1/kmeans_dbi.csv": "837852e96d46b466257a12a4886889eb409c6c840080c78a7656833d68fa0ba0",
+    "duration/house-1/summary.json": "5e43861b4b0975e2c9a88767ae686857e4b9ae7dd62ab5bfbe8f4659bf9053e5",
+    "duration/house-1/sweep_dbscan.json": "488aa05ee4d4190138eeb019aa3b2bfdef46e3f3cbecfb03ffa42e47887896e4",
+    "duration/house-1/sweep_gmm.json": "fa47d48d51292a6085d57d1300dca3168491b0de6c8453d90a41eb1baefaddfe",
+    "duration/house-1/sweep_kmeans.json": "6938b4ed7577c2a59a484b1d81d9156fb99336cd13d117bc702dc8ce3d3859f4",
+    "duration/rejections.csv": "ae25b6421e48412d062f8c99e427b01ddca871e7fbb41752997f7790b725cc68",
     "generate/planted.csv": "8835b5d3b99ff7b59530a21e77d4c143736d48c46a62e48f9ef43000b9f5a6d2",
     "generate/trace.csv": "ce739dea9857947af8e60b216e3e72c2a529295b039468134e0883418413896e",
     "raw/house-1/categories.csv": "7f4c049bbc8cb9a14de1ae7bc870d90547270449273438ce848153383c499700",
@@ -53,7 +65,7 @@ def sha256_tree(root):
 
 
 def write_artifacts(tmp_path):
-    """Run the three CLI calls; return the root holding their outputs."""
+    """Run the four CLI calls; return the root holding their outputs."""
     profile = tmp_path / "profile.txt"
     profile.write_text(format_profile(default_profile(days=40, seed=21)))
     root = tmp_path / "artifacts"
@@ -61,6 +73,9 @@ def write_artifacts(tmp_path):
     trace = tmp_path / "trace_with_bad_rows.csv"
     trace.write_text((root / "generate" / "trace.csv").read_text() + MALFORMED_ROWS)
     assert main(["run", "--input", str(trace), "--seed", "3", "--out", str(root / "raw")]) == 0
+    assert main([
+        "run", "--input", str(trace), "--features", "duration", "--seed", "3", "--out", str(root / "duration"),
+    ]) == 0
     assert main([
         "run", "--synth-profile", str(profile), "--scale", "zscore",
         "--eps", "0.1,0.2,0.3,0.5,0.8", "--seed", "3", "--out", str(root / "zscore"),

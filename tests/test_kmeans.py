@@ -1,13 +1,158 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mealclust.features import FeatureMatrix
-from mealclust.kmeans import assign, euclidean_distance, kmeans_fit
+from mealclust.episodes import segment_episodes
+from mealclust.events import filter_meal_locations
+from mealclust.features import (
+    MODE_DURATION_AND_START_HOUR,
+    MODE_DURATION_ONLY,
+    FeatureMatrix,
+    build_features,
+    scale_features,
+)
+from mealclust.kmeans import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    KMeansModel,
+    _centred,
+    assign,
+    euclidean_distance,
+    kmeans_fit,
+)
+from mealclust.synth import default_profile, generate_trace
 
 
 def matrix(data):
     data = np.asarray(data, dtype=float)
     return FeatureMatrix(data=data, feature_names=[f"f{i}" for i in range(data.shape[1])])
+
+
+def reference_sq_distances(data, centroids):
+    """Squared Euclidean distances, shape (k, N)."""
+    diff = _centred(data.T, centroids)
+    return np.einsum("knd,knd->kn", diff, diff)
+
+
+def reference_seed_centroids(data, k, rng):
+    """Seeding that recomputes the distances to every chosen centroid."""
+    n = data.shape[0]
+    chosen = [int(rng.integers(n))]
+    for _ in range(1, k):
+        d2 = reference_sq_distances(data, data[chosen]).min(axis=0)
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+    return data[chosen].copy()
+
+
+def reference_kmeans_fit(data, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+    """Lloyd iterations with one boolean mask and one mean per cluster: the
+    loop form that kmeans_fit must reproduce bit for bit."""
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = reference_seed_centroids(data, k, rng)
+    inertia_history = []
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        sq = reference_sq_distances(data, centroids)
+        labels = np.argmin(sq, axis=0)
+        inertia = float(sq[labels, np.arange(n)].sum())
+        inertia_history.append(inertia)
+
+        new_centroids = centroids.copy()
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                new_centroids[j] = data[labels == j].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            own_dist = sq[labels, np.arange(n)]
+            order = np.argsort(-own_dist, kind="stable")
+            for slot, j in enumerate(empty):
+                new_centroids[j] = data[order[slot]]
+
+        displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if displacement < tol:
+            break
+
+    sq = reference_sq_distances(data, centroids)
+    labels = np.argmin(sq, axis=0)
+    inertia = float(sq[labels, np.arange(n)].sum())
+    inertia_history.append(inertia)
+    return KMeansModel(
+        k=k,
+        centroids=centroids,
+        labels=labels,
+        inertia=inertia,
+        inertia_history=inertia_history,
+        iterations_run=iterations,
+        seed=seed,
+    )
+
+
+def assert_same_fit(got, want):
+    """Exact equality, no tolerance: every bit of every output."""
+    assert np.array_equal(got.centroids, want.centroids)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.inertia == want.inertia
+    assert got.inertia_history == want.inertia_history
+    assert got.iterations_run == want.iterations_run
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fit_matches_reference(d):
+    rng = np.random.default_rng(60 + d)
+    centres = rng.uniform(-10, 10, size=(5, d))
+    data = centres[rng.integers(0, 5, size=150)] + rng.normal(size=(150, d)) * rng.uniform(0.5, 2, size=d)
+    for k in range(1, 11):
+        for seed in (k, k + 100):
+            assert_same_fit(kmeans_fit(matrix(data), k=k, seed=seed), reference_kmeans_fit(data, k, seed))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fit_matches_reference_with_empty_cluster_repair(d):
+    # three distinct points for five clusters: seeding must pick coincident
+    # centroids, so the first assignment leaves clusters empty
+    points = np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 4.0]])[:, :d]
+    data = points[[0] * 8 + [1] * 7 + [2] * 5]
+    for seed in range(5):
+        centroids = reference_seed_centroids(data, 5, np.random.default_rng(seed))
+        counts = np.bincount(np.argmin(reference_sq_distances(data, centroids), axis=0), minlength=5)
+        assert (counts == 0).any()
+        assert_same_fit(kmeans_fit(matrix(data), k=5, seed=seed), reference_kmeans_fit(data, 5, seed))
+
+
+@pytest.mark.parametrize(
+    "mode,scaling",
+    [(MODE_DURATION_AND_START_HOUR, "none"), (MODE_DURATION_AND_START_HOUR, "zscore"), (MODE_DURATION_ONLY, "none")],
+)
+def test_fit_matches_reference_on_default_profile(mode, scaling):
+    episodes = segment_episodes(filter_meal_locations(generate_trace(default_profile(days=365, seed=0))))
+    m = scale_features(build_features(episodes, mode=mode), scaling)
+    for k in range(2, 11):
+        assert_same_fit(kmeans_fit(m, k=k, seed=3), reference_kmeans_fit(m.data, k, 3))
+
+
+@st.composite
+def _kmeans_inputs(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    # a coarse grid next to free floats, so ties and coincident points occur
+    coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_subnormal=False))
+    data = np.array(draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n)))
+    return data, draw(st.integers(1, min(n, 8))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_kmeans_inputs())
+def test_fit_matches_reference_property(inputs):
+    data, k, seed = inputs
+    assert_same_fit(kmeans_fit(matrix(data), k=k, seed=seed), reference_kmeans_fit(data, k, seed))
 
 
 def test_distance_3_4_5():

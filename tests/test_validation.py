@@ -192,6 +192,34 @@ def test_kmeans_and_dbscan_sweeps_keep_their_best_fit():
     assert np.array_equal(report.best_model.labels, dbscan_fit(m, eps=report.best.param, min_pts=4).labels)
 
 
+def test_sweeps_are_deterministic_with_and_without_shared_fits():
+    m = four_blobs(seed=3, spread=4.0)
+    for seed in (0, 7):
+        km, again = sweep_kmeans(m, seed=seed), sweep_kmeans(m, seed=seed)
+        assert again == km
+        for a, b in zip(again.models, km.models):
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.centroids, b.centroids)
+        alone = sweep_gmm(m, seed=seed)
+        shared = sweep_gmm(m, seed=seed, kmeans_models=km.models)
+        assert sweep_gmm(m, seed=seed) == alone
+        assert shared == alone
+        a, b = shared.best_model, alone.best_model
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.params.means, b.params.means)
+        assert np.array_equal(a.params.covariances, b.params.covariances)
+        assert a.log_likelihood_trace == b.log_likelihood_trace
+
+
+def test_gmm_sweep_shares_only_the_fits_it_sweeps():
+    # K-Means fits for k = 2..4 cover part of g = 3..6; the rest are fitted
+    m = four_blobs(seed=5)
+    km = sweep_kmeans(m, k_range=range(2, 5), seed=1)
+    shared = sweep_gmm(m, g_range=range(3, 7), seed=1, kmeans_models=km.models)
+    assert shared == sweep_gmm(m, g_range=range(3, 7), seed=1)
+    assert [e.param for e in shared.entries] == [3.0, 4.0, 5.0, 6.0]
+
+
 def test_sweep_dbscan_two_blobs():
     rng = np.random.default_rng(9)
     data = np.vstack([
@@ -254,7 +282,7 @@ def test_report_round_trip():
     report = sweep_kmeans(m, seed=0, household_id="h9")
     clone = SweepReport.from_dict(report.to_dict())
     assert clone == report
-    assert clone.best_model is None  # the fitted model is not serialised
+    assert clone.best_model is None and clone.models == []  # fitted models are not serialised
 
 
 def test_plot_csv_format():
