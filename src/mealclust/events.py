@@ -16,6 +16,7 @@ household, sensor, kind and location. The table is a sequence of
 from __future__ import annotations
 
 import csv
+import gc
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -296,11 +297,19 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
     line = 2
-    while rows := _read(reader, CHUNK_ROWS):
-        columns, rejected = _parse_chunk(rows, line, len(header), idx, vocab)
-        chunks.append(columns)
-        rejections.extend(rejected)
-        line += len(rows)
+    # The row lists of a batch hold only strings, so they form no cycles;
+    # left on, the cyclic collector would scan them again and again.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while rows := _read(reader, CHUNK_ROWS):
+            columns, rejected = _parse_chunk(rows, line, len(header), idx, vocab)
+            chunks.append(columns)
+            rejections.extend(rejected)
+            line += len(rows)
+    finally:
+        if collecting:
+            gc.enable()
     columns = [np.concatenate(parts) for parts in zip(*chunks)] or [[]] * 6
     events = EventTable(*columns, list(vocab))
     return events.take(np.argsort(events.seconds, kind="stable")), rejections

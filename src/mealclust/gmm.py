@@ -5,11 +5,22 @@ normals. Fits are initialized from a K-Means partition with the same
 seed (fitted here, or handed over by a caller that already holds it),
 responsibilities are computed in log-space, and every M-step floors
 covariance diagonals to keep components non-singular.
+
+EM for several g values runs in lockstep (`gmm_fits`): the components
+of all live fits are stacked along one component axis, so each E-step
+and M-step makes one set of numpy calls for every fit at once. Fits
+join the stack in order while it holds at most STACK_CELLS components x
+points and leave it after their final E-step. Every fit keeps its own
+iteration count and stopping test, and equals a lone fit bit for bit;
+`gmm_fit` is the lockstep of one g.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +30,12 @@ from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array, _centred
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 1e-6
 VARIANCE_FLOOR = 1e-6
+
+# Components x points one lockstep stack may hold. A small household's
+# whole g = 2..10 sweep (54 components of ~200 points) fits in one stack;
+# at a year of episodes (~1,300 points) a stack stays about the size of
+# one g = 10 fit, so the sweep's peak memory stays where a lone fit puts it.
+STACK_CELLS = 2**14
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -113,6 +130,12 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
 #   kept as a C-contiguous (g, N, D) array. Run on (g, D, N) arrays
 #   instead, these products group the BLAS sums differently and move
 #   entries by about 1e-16.
+# - In a lockstep stack, what works on each component alone (Cholesky,
+#   inverse, the batched products, elementwise work) runs once over the
+#   stack. Sums over a fit's g components run per fit, and so do nk and
+#   `resp.T @ data`, on the fit's own C-contiguous (N, g) resp: BLAS
+#   takes a g = 1 fit's one row through another routine, and rounds each
+#   row of a D = 1 product by its place among the product's rows.
 def _log_weighted_densities(diff_t: np.ndarray, weights: np.ndarray, covariances: np.ndarray) -> np.ndarray:
     """log(pi_k * F(x_n, theta_k)) for every component and point, shape
     (g, N), from the centred points diff_t[k] = (x - mean_k).T, shape
@@ -133,13 +156,24 @@ def _log_weighted_densities(diff_t: np.ndarray, weights: np.ndarray, covariances
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log of the sum of exp(a) over the component axis 0 of a (g, N) array."""
-    m = np.max(a, axis=0)
+def _logsumexp(a: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+    """log of the sum of exp(a) over each fit's components: row i of the
+    (F, N) result sums rows spans[i] of the stacked (C, N) array a. The
+    maximum, the shift, the sum and its log are taken per fit, because the
+    sum's rounding depends on the fit's g; the rest runs once over the
+    stack, so a lone fit makes the calls of a plain logsumexp."""
+    m = np.empty((len(spans), a.shape[1]))
+    for i, (lo, hi) in enumerate(spans):
+        a[lo:hi].max(axis=0, out=m[i])
     m = np.where(np.isfinite(m), m, 0.0)
-    terms = a - m
+    terms = np.empty(a.shape)
+    for i, (lo, hi) in enumerate(spans):
+        np.subtract(a[lo:hi], m[i], out=terms[lo:hi])
     np.exp(terms, out=terms)
-    return m + np.log(_sum_terms(terms))
+    for i, (lo, hi) in enumerate(spans):
+        total = _sum_terms(terms[lo:hi])
+        np.add(m[i], np.log(total, out=total), out=m[i])
+    return m
 
 
 def _point_log_weighted_densities(x: np.ndarray, params: GmmParams) -> np.ndarray:
@@ -154,13 +188,13 @@ def _point_log_weighted_densities(x: np.ndarray, params: GmmParams) -> np.ndarra
 def gmm_density(x: np.ndarray, params: GmmParams) -> float:
     """Mixture probability density at a single point."""
     log_wd = _point_log_weighted_densities(x, params)
-    return float(np.exp(_logsumexp(log_wd)[0]))
+    return float(np.exp(_logsumexp(log_wd, [(0, params.g)])[0, 0]))
 
 
 def responsibilities(x: np.ndarray, params: GmmParams) -> np.ndarray:
     """Posterior component probabilities at a point, computed in log-space."""
     log_wd = _point_log_weighted_densities(x, params)
-    return np.exp(log_wd[:, 0] - _logsumexp(log_wd)[0])
+    return np.exp(log_wd[:, 0] - _logsumexp(log_wd, [(0, params.g)])[0, 0])
 
 
 def _init_from_kmeans(data: np.ndarray, km: KMeansModel) -> GmmParams:
@@ -184,6 +218,161 @@ def _init_from_kmeans(data: np.ndarray, km: KMeansModel) -> GmmParams:
     return GmmParams(weights=weights, means=means, covariances=covariances)
 
 
+@dataclass
+class _Fit:
+    """One fit of a lockstep: its place in the caller's list and its records."""
+
+    order: int
+    g: int
+    done: bool  # met tol or max_iter, so its next E-step is its last
+    iterations: int = 0
+    ll_trace: list[float] = field(default_factory=list)
+    weights_trace: list[np.ndarray] = field(default_factory=list)
+
+
+def _spans(fits: list[_Fit]) -> list[tuple[int, int]]:
+    """Each fit's rows of the stacked component axis, as (start, stop)."""
+    edges = list(accumulate((fit.g for fit in fits), initial=0))
+    return list(zip(edges, edges[1:]))
+
+
+def gmm_fits(
+    m: FeatureMatrix | np.ndarray,
+    gs: Sequence[int],
+    seed: int = 0,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+    kmeans_models: Sequence[KMeansModel | None] | None = None,
+) -> list[GmmModel]:
+    """Fit a mixture for every g in `gs` by EM, in lockstep; returns the
+    models in the order of `gs`, each equal bit for bit to a lone fit.
+
+    The live fits' components are stacked into one (C, N) state, so each
+    E-step and M-step makes one set of numpy calls for all of them. Fits
+    join the stack in the order of `gs` while it holds at most STACK_CELLS
+    components x points (at least one fit always runs), and a fit leaves
+    after its final E-step, making room for the next.
+
+    `kmeans_models`, when given, holds one entry per g: the default K-Means
+    fit of these rows with k = g and this seed, or None to fit it here.
+    Each fit stops when its relative log-likelihood improvement drops
+    below `tol` or after `max_iter` iterations. Hard labels are the
+    per-point argmax responsibility (ties resolve to the lowest component
+    index). A collapse raises the FitError that fitting each g in turn
+    would raise: that of the first g in `gs` whose fit collapses.
+    """
+    data = _as_array(m)
+    n, d = data.shape
+    if kmeans_models is None:
+        kmeans_models = [None] * len(gs)
+    if len(kmeans_models) != len(gs):
+        raise ValueError("kmeans_models must hold one entry per g")
+    for g in gs:
+        if not 1 <= g <= n:
+            raise ValueError(f"g must be in [1, {n}], got {g}")
+    if n < 2:
+        raise ValueError("gmm_fit requires at least 2 points")
+    for g, km in zip(gs, kmeans_models):
+        if km is not None and (km.k, km.seed, len(km.labels)) != (g, seed, n):
+            raise ValueError(
+                f"K-Means model (k={km.k}, seed={km.seed}, {len(km.labels)} rows)"
+                f" does not match g={g}, seed={seed}, {n} rows"
+            )
+
+    data_t = np.ascontiguousarray(data.T)
+    floor = VARIANCE_FLOOR * np.eye(d)
+    waiting = deque(_Fit(i, g, done=max_iter < 1) for i, g in enumerate(gs))
+    live: list[_Fit] = []
+    models: list[GmmModel] = [None] * len(gs)  # type: ignore[list-item]
+    error: FitError | None = None
+    weights, means, covariances = np.empty(0), np.empty((0, d)), np.empty((0, d, d))
+    while live or waiting:
+        cells = sum(fit.g for fit in live) * n if waiting else 0
+        joined = []
+        while waiting and (cells == 0 or cells + waiting[0].g * n <= STACK_CELLS):
+            fit = waiting.popleft()
+            km = kmeans_models[fit.order] or kmeans_fit(data, k=fit.g, seed=seed)
+            joined.append(_init_from_kmeans(data, km))
+            live.append(fit)
+            cells += fit.g * n
+        if joined:
+            weights = np.concatenate([weights, *(p.weights for p in joined)])
+            means = np.concatenate([means, *(p.means for p in joined)])
+            covariances = np.concatenate([covariances, *(p.covariances for p in joined)])
+            diff = _centred(data_t, means)
+            spans = _spans(live)
+
+        # E-step; a fit that is done takes its final one and leaves
+        log_wd = _log_weighted_densities(diff.transpose(0, 2, 1), weights, covariances)
+        log_norm = _logsumexp(log_wd, spans)
+        finite = np.isfinite(log_norm).all(axis=1).tolist()
+        lls = log_norm.sum(axis=1).tolist()
+        keep = []
+        for i, (fit, (lo, hi)) in enumerate(zip(live, spans)):
+            fit.iterations += not fit.done
+            if not finite[i]:
+                # every later fit is moot: this error or an earlier fit's is raised
+                error = FitError(f"numerical collapse at iteration {fit.iterations}")
+                waiting.clear()
+                break
+            fit.ll_trace.append(lls[i])
+            resp_t = log_wd[lo:hi]
+            np.subtract(resp_t, log_norm[i], out=resp_t)  # log responsibilities
+            if fit.done:
+                models[fit.order] = GmmModel(
+                    params=GmmParams(weights[lo:hi].copy(), means[lo:hi].copy(), covariances[lo:hi].copy()),
+                    labels=np.argmax(resp_t, axis=0),
+                    log_likelihood=lls[i],
+                    log_likelihood_trace=fit.ll_trace,
+                    weights_trace=fit.weights_trace,
+                    iterations_run=fit.iterations,
+                    seed=seed,
+                )
+            else:
+                keep.append(i)
+        if len(keep) < len(live):
+            rows = np.concatenate([np.arange(*spans[i]) for i in keep]) if keep else np.arange(0)
+            live = [live[i] for i in keep]
+            spans = _spans(live)
+            log_wd, weights, means, covariances = log_wd[rows], weights[rows], means[rows], covariances[rows]
+            if not live:
+                continue
+
+        # M-step over the fits that go on
+        resp_t = log_wd
+        np.exp(resp_t, out=resp_t)
+        nk = np.empty(len(weights))
+        new_means = np.empty(means.shape)
+        for lo, hi in spans:
+            resp = np.ascontiguousarray(resp_t[lo:hi].T)  # (N, g)
+            resp.sum(axis=0, out=nk[lo:hi])
+            np.matmul(resp.T, data, out=new_means[lo:hi])
+        weights = nk / n
+        alive = nk > 1e-12
+        nk_safe = np.where(alive, nk, 1.0)
+        new_means /= nk_safe[:, None]
+        # dead components keep their previous parameters at weight ~0
+        new_means[~alive] = means[~alive]
+        means = new_means
+        diff = _centred(data_t, means)
+        weighted = np.empty(diff.shape)  # weighted[k] = resp[:, k, None] * diff[k]
+        for j in range(d):
+            np.multiply(resp_t, diff[:, :, j], out=weighted[:, :, j])
+        new_covariances = (weighted.transpose(0, 2, 1) @ diff) / nk_safe[:, None, None]
+        new_covariances += floor
+        new_covariances[~alive] = covariances[~alive]
+        covariances = new_covariances
+
+        for fit, (lo, hi) in zip(live, spans):
+            fit.weights_trace.append(weights[lo:hi].copy())
+            ll = fit.ll_trace
+            fit.done = fit.iterations == max_iter or (len(ll) >= 2 and (ll[-1] - ll[-2]) < tol * abs(ll[-2]))
+
+    if error is not None:
+        raise error
+    return models
+
+
 def gmm_fit(
     m: FeatureMatrix | np.ndarray,
     g: int,
@@ -192,89 +381,12 @@ def gmm_fit(
     tol: float = DEFAULT_TOL,
     kmeans_model: KMeansModel | None = None,
 ) -> GmmModel:
-    """Fit a g-component mixture by EM.
+    """Fit a g-component mixture by EM: `gmm_fits` for this one g.
 
     Starts from `kmeans_model` when given, which must be the default
     K-Means fit of these rows with k = g and this seed; otherwise fits it.
-    Stops when the relative log-likelihood improvement drops below `tol`
-    or after `max_iter` iterations. Hard labels are the per-point argmax
-    responsibility (ties resolve to the lowest component index).
     """
-    data = _as_array(m)
-    n, d = data.shape
-    if not 1 <= g <= n:
-        raise ValueError(f"g must be in [1, {n}], got {g}")
-    if n < 2:
-        raise ValueError("gmm_fit requires at least 2 points")
-    if kmeans_model is None:
-        kmeans_model = kmeans_fit(data, k=g, seed=seed)
-    elif (kmeans_model.k, kmeans_model.seed, len(kmeans_model.labels)) != (g, seed, n):
-        raise ValueError(
-            f"K-Means model (k={kmeans_model.k}, seed={kmeans_model.seed}, {len(kmeans_model.labels)} rows)"
-            f" does not match g={g}, seed={seed}, {n} rows"
-        )
-
-    params = _init_from_kmeans(data, kmeans_model)
-    weights, means, covariances = params.weights, params.means, params.covariances
-    data_t = np.ascontiguousarray(data.T)
-    diff = _centred(data_t, means)
-    floor = VARIANCE_FLOOR * np.eye(d)
-
-    ll_trace: list[float] = []
-    weights_trace: list[np.ndarray] = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        # E-step
-        log_wd = _log_weighted_densities(diff.transpose(0, 2, 1), weights, covariances)
-        log_norm = _logsumexp(log_wd)
-        if not np.isfinite(log_norm).all():
-            raise FitError(f"numerical collapse at iteration {iterations}")
-        ll = float(log_norm.sum())
-        ll_trace.append(ll)
-
-        # M-step
-        resp_t = log_wd - log_norm  # (g, N)
-        np.exp(resp_t, out=resp_t)
-        resp = np.ascontiguousarray(resp_t.T)
-        nk = resp.sum(axis=0)
-        weights = nk / n
-        alive = nk > 1e-12
-        nk_safe = np.where(alive, nk, 1.0)
-        new_means = (resp.T @ data) / nk_safe[:, None]
-        # dead components keep their previous parameters at weight ~0
-        new_means[~alive] = means[~alive]
-        means = new_means
-        diff = _centred(data_t, means)
-        weighted = np.empty((g, n, d))  # weighted[k] = resp[:, k, None] * diff[k]
-        for j in range(d):
-            np.multiply(resp_t, diff[:, :, j], out=weighted[:, :, j])
-        new_covariances = (weighted.transpose(0, 2, 1) @ diff) / nk_safe[:, None, None]
-        new_covariances += floor
-        new_covariances[~alive] = covariances[~alive]
-        covariances = new_covariances
-        weights_trace.append(weights.copy())
-
-        if len(ll_trace) >= 2:
-            prev = ll_trace[-2]
-            if (ll - prev) < tol * abs(prev):
-                break
-
-    # final E-step so labels and likelihood reflect the converged parameters
-    log_wd = _log_weighted_densities(diff.transpose(0, 2, 1), weights, covariances)
-    log_norm = _logsumexp(log_wd)
-    if not np.isfinite(log_norm).all():
-        raise FitError(f"numerical collapse at iteration {iterations}")
-    ll_trace.append(float(log_norm.sum()))
-    labels = np.argmax(log_wd - log_norm, axis=0)
-    return GmmModel(
-        params=GmmParams(weights=weights, means=means, covariances=covariances),
-        labels=labels,
-        log_likelihood=ll_trace[-1],
-        log_likelihood_trace=ll_trace,
-        weights_trace=weights_trace,
-        iterations_run=iterations,
-        seed=seed,
-    )
+    return gmm_fits(m, [g], seed=seed, max_iter=max_iter, tol=tol, kmeans_models=[kmeans_model])[0]
 
 
 @dataclass(frozen=True)

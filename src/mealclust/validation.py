@@ -18,7 +18,7 @@ import numpy as np
 from mealclust.events import csv_text
 from mealclust.features import FeatureMatrix
 from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array
-from mealclust.gmm import GmmModel, gmm_fit
+from mealclust.gmm import GmmModel, gmm_fits
 from mealclust.dbscan import DbscanResult, dbscan_fits, NOISE, DEFAULT_MIN_PTS
 
 DEFAULT_K_RANGE = range(2, 11)
@@ -196,7 +196,8 @@ def sweep_gmm(
     household_id: str = "",
     kmeans_models: Iterable[KMeansModel] = (),
 ) -> SweepReport:
-    """One gmm_fit + DBI on hard labels per g.
+    """One GMM per g, all fitted in one lockstep `gmm_fits` call, + DBI
+    on hard labels per g.
 
     Each fit starts from the model in `kmeans_models` whose k is g (for
     example a K-Means sweep's `models` with the same seed), and fits its
@@ -207,8 +208,8 @@ def sweep_gmm(
     """
     gs = _param_range(g_range, len(_as_array(m)), "g_range")
     starts = {km.k: km for km in kmeans_models}
-    fits = ((g, gmm_fit(m, g=g, seed=seed, kmeans_model=starts.get(g))) for g in gs)
-    return _sweep(m, "gmm", fits, seed, household_id)
+    fits = gmm_fits(m, gs, seed=seed, kmeans_models=[starts.get(g) for g in gs])
+    return _sweep(m, "gmm", zip(gs, fits), seed, household_id)
 
 
 def sweep_dbscan(
@@ -217,7 +218,8 @@ def sweep_dbscan(
     min_pts: int = DEFAULT_MIN_PTS,
     household_id: str = "",
 ) -> SweepReport:
-    """One DBSCAN fit (all sharing one distance matrix) + noise-excluded
+    """One DBSCAN labelling per eps value, all cut from one
+    mutual-reachability spanning tree (`dbscan_fits`), + noise-excluded
     DBI per eps value.
 
     Entries yielding fewer than 2 clusters are kept with an undefined

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 
@@ -222,9 +223,10 @@ def count_fits(monkeypatch, real_fit, param):
     """Wrap every name a mealclust module binds `real_fit` to, so a refit
     anywhere counts; returns the list of `param` values it is called with."""
     fitted = []
+    signature = inspect.signature(real_fit)
 
     def counting_fit(*args, **kwargs):
-        fitted.append(kwargs[param])
+        fitted.append(signature.bind(*args, **kwargs).arguments[param])
         return real_fit(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -236,10 +238,11 @@ def count_fits(monkeypatch, real_fit, param):
 
 
 def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):
-    fitted_g = count_fits(monkeypatch, gmm.gmm_fit, "g")
+    # the whole g range goes to one lockstep gmm_fits call per household
+    fitted_gs = count_fits(monkeypatch, gmm.gmm_fits, "gs")
     config = pipeline.RunConfig(synth_profile_path=profile_path, g_range=range(2, 11), out_dir=tmp_path / "out")
     assert pipeline.run_pipeline(config).exit_code == 0
-    assert sorted(fitted_g) == list(range(2, 11))
+    assert [sorted(gs) for gs in fitted_gs] == [list(range(2, 11))]
 
 
 def test_each_kmeans_is_fitted_once_per_k(tmp_path, profile_path, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import random
 from datetime import datetime
@@ -354,6 +355,31 @@ def test_oversized_field_is_a_schema_error_naming_the_line():
     text = HEADER + row("2024-03-01T08:00:00") + row("2024-03-01T09:00:00", loc='"' + "x" * 200_000 + '"')
     with pytest.raises(SchemaError, match="line 3: malformed CSV"):
         parse_events(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_pauses_the_collector_and_restores_the_callers_state(monkeypatch, enabled):
+    real_parse_chunk = events_mod._parse_chunk
+    during = []
+
+    def recording_parse_chunk(*args):
+        during.append(gc.isenabled())
+        return real_parse_chunk(*args)
+
+    monkeypatch.setattr(events_mod, "_parse_chunk", recording_parse_chunk)
+    good = HEADER + row("2024-03-01T08:00:00") + row("2024-03-01T09:00:00")
+    bad = good + row("2024-03-01T10:00:00", loc='"' + "x" * 200_000 + '"')
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        parse_events(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError, match="malformed CSV"):
+            parse_events(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)
 
 
 def test_table_slicing_and_indexing():

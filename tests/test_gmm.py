@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mealclust import gmm
 from mealclust.episodes import segment_episodes
 from mealclust.events import filter_meal_locations
 from mealclust.features import FeatureMatrix, build_features, scale_features
@@ -8,6 +12,7 @@ from mealclust.gmm import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     VARIANCE_FLOOR,
+    FitError,
     GmmModel,
     GmmParams,
     _init_from_kmeans,
@@ -15,10 +20,11 @@ from mealclust.gmm import (
     category_summary,
     gmm_density,
     gmm_fit,
+    gmm_fits,
     responsibilities,
 )
-from mealclust.kmeans import kmeans_fit
-from mealclust.synth import default_profile, generate_trace
+from mealclust.kmeans import KMeansModel, kmeans_fit
+from mealclust.synth import DEFAULT_CATEGORIES, HouseholdProfile, default_profile, generate_trace
 from mealclust.validation import sweep_kmeans
 
 
@@ -185,6 +191,128 @@ def test_fit_rejects_a_mismatched_kmeans_model():
         gmm_fit(matrix(data), g=3, seed=2, kmeans_model=km)  # wrong seed
     with pytest.raises(ValueError, match="does not match"):
         gmm_fit(matrix(data[:30]), g=3, seed=1, kmeans_model=km)  # wrong row count
+    with pytest.raises(ValueError, match="one entry per g"):
+        gmm_fits(matrix(data), [3, 4], seed=1, kmeans_models=[km])
+
+
+def profile_features(profile, scaling="none"):
+    events = generate_trace(profile)
+    return scale_features(build_features(segment_episodes(filter_meal_locations(events))), scaling)
+
+
+SWEEP_GS = list(range(2, 11))
+
+
+@pytest.fixture(scope="module")
+def fleet_household():
+    """One household of a 12-household fleet (60 days, ~210 episodes) and
+    the reference fit of each sweep g."""
+    m = profile_features(HouseholdProfile("hh-01", DEFAULT_CATEGORIES, days=60, seed=100_000))
+    return m, {g: reference_gmm_fit(m.data, g, seed=3) for g in SWEEP_GS}
+
+
+def test_fits_of_a_fleet_household_match_reference_in_one_stack(fleet_household):
+    m, want = fleet_household
+    assert sum(SWEEP_GS) * len(m.data) <= gmm.STACK_CELLS  # every fit is live from the first step
+    for g, got in zip(SWEEP_GS, gmm_fits(m, SWEEP_GS, seed=3)):
+        assert_same_fit(got, want[g])
+    starts = [kmeans_fit(m, k=g, seed=3) for g in SWEEP_GS]
+    for g, got in zip(SWEEP_GS, gmm_fits(m, SWEEP_GS, seed=3, kmeans_models=starts)):
+        assert_same_fit(got, want[g])
+
+
+@pytest.mark.parametrize("cells", [1, 2_000, 10**9])
+def test_fits_match_reference_at_any_stack_size(fleet_household, monkeypatch, cells):
+    # one fit per stack; a few small fits per stack, joining as others
+    # leave; every fit in one stack
+    monkeypatch.setattr(gmm, "STACK_CELLS", cells)
+    real_densities = gmm._log_weighted_densities
+    stacked = []
+
+    def recording_densities(diff_t, weights, covariances):
+        stacked.append(len(weights))
+        return real_densities(diff_t, weights, covariances)
+
+    monkeypatch.setattr(gmm, "_log_weighted_densities", recording_densities)
+    m, want = fleet_household
+    gs = [7, 2, 10, 3, 9, 4, 5, 8, 6]
+    for g, got in zip(gs, gmm_fits(m, gs, seed=3)):
+        assert_same_fit(got, want[g])
+    assert all(c * len(m.data) <= cells or c in gs for c in stacked)  # over the cap only alone
+    assert (max(stacked) == sum(gs)) == (cells == 10**9)
+
+
+@pytest.mark.parametrize("scaling", ["none", "zscore"])
+def test_fits_of_the_default_profile_match_reference_in_several_stacks(scaling):
+    m = profile_features(default_profile(days=365), scaling)
+    assert sum(SWEEP_GS) * len(m.data) > 2 * gmm.STACK_CELLS
+    for g, got in zip(SWEEP_GS, gmm_fits(m, SWEEP_GS, seed=0)):
+        assert_same_fit(got, reference_gmm_fit(m.data, g, seed=0))
+
+
+@st.composite
+def _lockstep_inputs(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    # a coarse grid next to free floats, so coincident points and dead
+    # components occur
+    coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_subnormal=False))
+    data = np.array(draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n)))
+    gs = draw(st.lists(st.integers(1, min(n, 8)), min_size=1, max_size=5))
+    return data, gs, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1, 60, 10**9]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_lockstep_inputs())
+def test_fits_match_reference_property(inputs):
+    data, gs, seed, cells = inputs
+    with mock.patch.object(gmm, "STACK_CELLS", cells):
+        models = gmm_fits(matrix(data), gs, seed=seed)
+    for g, got in zip(gs, models):
+        assert_same_fit(got, reference_gmm_fit(data, g, seed))
+
+
+def collapse_fits(monkeypatch, at):
+    """Make the E-step of the fit with g components collapse at its
+    at[g]-th E-step, in a lockstep stack or alone."""
+    real_logsumexp = gmm._logsumexp
+    seen = dict.fromkeys(at, 0)
+
+    def collapsing_logsumexp(a, spans):
+        out = real_logsumexp(a, spans)
+        for i, (lo, hi) in enumerate(spans):
+            if hi - lo in at:
+                seen[hi - lo] += 1
+                if seen[hi - lo] == at[hi - lo]:
+                    out[i, 0] = -np.inf
+        return out
+
+    monkeypatch.setattr(gmm, "_logsumexp", collapsing_logsumexp)
+    return seen
+
+
+@pytest.mark.parametrize("gs", [[6, 2, 5, 3, 4], [6, 2, 3, 5, 4], [3, 4, 5, 6]])
+def test_a_collapse_raises_the_error_of_the_first_collapsing_g(fleet_household, monkeypatch, gs):
+    m, _ = fleet_household
+    at = {5: 4, 3: 9}  # g = 5 collapses in its 4th E-step, g = 3 in its 9th
+    seen = collapse_fits(monkeypatch, at)
+    first = next(g for g in gs if g in at)
+    with pytest.raises(FitError) as lockstep:
+        gmm_fits(m, gs, seed=3)
+    for g in at:
+        seen[g] = 0
+    with pytest.raises(FitError) as alone:
+        for g in gs:  # the per-g loop the lockstep stands for
+            gmm_fit(m, g=g, seed=3)
+    assert str(lockstep.value) == str(alone.value) == f"numerical collapse at iteration {at[first]}"
+
+
+def test_far_starts_collapse_at_the_first_e_step():
+    rng = np.random.default_rng(44)
+    data = rng.normal(size=(30, 2))
+    far = KMeansModel(3, np.full((3, 2), 1e200), np.arange(30) % 3, 0.0, [], 0, seed=0)
+    with pytest.raises(FitError, match="at iteration 1$"), np.errstate(over="ignore", divide="ignore"):
+        gmm_fits(matrix(data), [2, 3], kmeans_models=[None, far])
 
 
 def test_density_peak_of_standard_normal():
