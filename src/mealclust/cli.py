@@ -17,29 +17,11 @@ from pathlib import Path
 
 from mealclust import features as features_mod
 from mealclust import pipeline
-from mealclust.events import SchemaError, DEFAULT_MEAL_LOCATIONS
-from mealclust.episodes import DEFAULT_GAP_THRESHOLD_MIN, DEFAULT_MIN_DURATION_MIN, DEFAULT_MIN_EVENTS
-from mealclust.dbscan import DEFAULT_MIN_PTS
+from mealclust.events import SchemaError
 
 FEATURE_MODES = {
     "duration": features_mod.MODE_DURATION_ONLY,
     "duration+hour": features_mod.MODE_DURATION_AND_START_HOUR,
-}
-
-
-# A rejected run parameter's message starts with the RunConfig field it is
-# about (the DBSCAN check names a single value "eps").
-FIELD_FLAGS = {
-    "locations": "--locations",
-    "gap_threshold_min": "--gap-min",
-    "min_duration_min": "--min-duration-min",
-    "min_events": "--min-events",
-    "k_range": "--k-range",
-    "g_range": "--g-range",
-    "eps_values": "--eps",
-    "eps": "--eps",
-    "min_pts": "--min-pts",
-    "seed": "--seed",
 }
 
 
@@ -66,6 +48,10 @@ def _parse_eps_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from None
 
 
+def _parse_locations(text: str) -> frozenset[str]:
+    return frozenset(loc.strip() for loc in text.split(",") if loc.strip())
+
+
 def _default_seed(parser: argparse.ArgumentParser) -> int:
     text = os.environ.get("MEALCLUST_SEED", "0")
     try:
@@ -78,26 +64,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mealclust", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the full clustering pipeline")
+    # Each flag's dest is the RunConfig field it sets; a flag left out
+    # leaves the namespace without it, so RunConfig keeps its default.
+    run = sub.add_parser("run", help="run the full clustering pipeline", argument_default=argparse.SUPPRESS)
     src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", type=Path, help="sensor-log CSV to ingest")
-    src.add_argument("--synth-profile", type=Path, help="synthetic profile to generate and analyze")
-    run.add_argument("--locations", default=",".join(sorted(DEFAULT_MEAL_LOCATIONS)),
-                     help="comma-separated meal locations (default: dining_room,kitchen)")
-    run.add_argument("--gap-min", type=float, default=DEFAULT_GAP_THRESHOLD_MIN,
-                     help="episode gap threshold in minutes")
-    run.add_argument("--min-duration-min", type=float, default=DEFAULT_MIN_DURATION_MIN)
-    run.add_argument("--min-events", type=int, default=DEFAULT_MIN_EVENTS)
-    run.add_argument("--features", choices=sorted(FEATURE_MODES), default="duration+hour")
-    run.add_argument("--scale", choices=["none", "zscore"], default="none")
-    run.add_argument("--k-range", type=_parse_range, default=pipeline.DEFAULT_K_RANGE, metavar="A..B")
-    run.add_argument("--g-range", type=_parse_range, default=pipeline.DEFAULT_G_RANGE, metavar="A..B")
-    run.add_argument("--eps", type=_parse_eps_list, default=list(pipeline.DEFAULT_EPS_VALUES),
-                     metavar="LIST", help="comma-separated eps values for the DBSCAN sweep")
-    run.add_argument("--min-pts", type=int, default=DEFAULT_MIN_PTS)
-    run.add_argument("--seed", type=int, default=None, help="fit seed (fallback: MEALCLUST_SEED, then 0)")
-    run.add_argument("--out", type=Path, required=True, help="output directory")
-    run.set_defaults(subparser=run)
+    actions = [
+        src.add_argument("--input", dest="input_path", type=Path, metavar="INPUT", help="sensor-log CSV to ingest"),
+        src.add_argument("--synth-profile", dest="synth_profile_path", type=Path, metavar="SYNTH_PROFILE",
+                         help="synthetic profile to generate and analyze"),
+        run.add_argument("--locations", type=_parse_locations,
+                         help="comma-separated meal locations (default: dining_room,kitchen)"),
+        run.add_argument("--gap-min", dest="gap_threshold_min", type=float, metavar="GAP_MIN",
+                         help="episode gap threshold in minutes"),
+        run.add_argument("--min-duration-min", type=float),
+        run.add_argument("--min-events", type=int),
+        run.add_argument("--features", dest="feature_mode", choices=sorted(FEATURE_MODES)),
+        run.add_argument("--scale", dest="scaling", choices=["none", "zscore"]),
+        run.add_argument("--k-range", type=_parse_range, metavar="A..B"),
+        run.add_argument("--g-range", type=_parse_range, metavar="A..B"),
+        run.add_argument("--eps", dest="eps_values", type=_parse_eps_list, metavar="LIST",
+                         help="comma-separated eps values for the DBSCAN sweep"),
+        run.add_argument("--min-pts", type=int),
+        run.add_argument("--seed", type=int, help="fit seed (fallback: MEALCLUST_SEED, then 0)"),
+        run.add_argument("--out", dest="out_dir", type=Path, required=True, metavar="OUT", help="output directory"),
+    ]
+    run.set_defaults(subparser=run, actions=actions)
 
     gen = sub.add_parser("generate", help="write a synthetic trace CSV plus planted-truth sidecar")
     gen.add_argument("--profile", type=Path, default=None, help="profile file (default: bundled profile)")
@@ -107,29 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     parser = args.subparser
-    config = pipeline.RunConfig(
-        input_path=args.input,
-        synth_profile_path=args.synth_profile,
-        locations=frozenset(loc.strip() for loc in args.locations.split(",") if loc.strip()),
-        gap_threshold_min=args.gap_min,
-        min_duration_min=args.min_duration_min,
-        min_events=args.min_events,
-        feature_mode=FEATURE_MODES[args.features],
-        scaling=args.scale,
-        k_range=args.k_range,
-        g_range=args.g_range,
-        eps_values=args.eps,
-        min_pts=args.min_pts,
-        seed=args.seed if args.seed is not None else _default_seed(parser),
-        out_dir=args.out,
-    )
+    flags = {action.dest: action.option_strings[0] for action in args.actions}
+    fields = {dest: getattr(args, dest) for dest in flags if hasattr(args, dest)}
+    if "feature_mode" in fields:
+        fields["feature_mode"] = FEATURE_MODES[fields["feature_mode"]]
+    if "seed" not in fields:
+        fields["seed"] = _default_seed(parser)
+        flags["seed"] = "MEALCLUST_SEED"
+    config = pipeline.RunConfig(**fields)
     try:
         config.validate()
     except ValueError as exc:
+        # the message starts with the field it is about; the DBSCAN check
+        # names a single value "eps"
         message = str(exc)
-        flag = FIELD_FLAGS.get(message.split(" ", 1)[0])
-        if flag == "--seed" and args.seed is None:
-            flag = "MEALCLUST_SEED"
+        field = message.split(" ", 1)[0]
+        flag = flags.get("eps_values" if field == "eps" else field)
         parser.error(f"argument {flag}: {message}" if flag else message)
     try:
         result = pipeline.run_pipeline(config)

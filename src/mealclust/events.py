@@ -21,7 +21,7 @@ import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
@@ -280,7 +280,9 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    # a UTF-8 byte-order mark, which csv and str.strip keep, is no part of the header
+    first = stream.readline().removeprefix("\ufeff")
+    reader = csv.reader(chain([first] if first else [], stream))
     header = _read(reader, 1)
     if not header:
         raise SchemaError("empty input: missing header row")
@@ -315,13 +317,18 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     return events.take(np.argsort(events.seconds, kind="stable")), rejections
 
 
+def check_locations(locations: frozenset[str] | set[str]) -> None:
+    """Raise ValueError unless the meal-location set is usable."""
+    if not locations:
+        raise ValueError("locations set must be non-empty")
+
+
 def filter_meal_locations(
     events: Iterable[SensorEvent],
     locations: frozenset[str] | set[str] = DEFAULT_MEAL_LOCATIONS,
 ) -> EventTable:
     """Keep only events whose location is in `locations`, order preserved."""
-    if not locations:
-        raise ValueError("locations set must be non-empty")
+    check_locations(locations)
     table = EventTable.from_events(events)
     wanted = [code for code, name in enumerate(table.names) if name in locations]
     return table.take(np.isin(table.location, wanted))

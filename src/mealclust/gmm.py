@@ -65,15 +65,6 @@ class GmmParams:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def validate(self) -> None:
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        if (self.weights < 0).any() or (self.weights > 1).any():
-            raise ValueError("mixture weights must lie in [0, 1]")
-        for cov in self.covariances:
-            if not np.allclose(cov, cov.T):
-                raise ValueError("covariance matrices must be symmetric")
-
 
 @dataclass
 class GmmModel:
@@ -379,14 +370,10 @@ def gmm_fit(
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    kmeans_model: KMeansModel | None = None,
 ) -> GmmModel:
-    """Fit a g-component mixture by EM: `gmm_fits` for this one g.
-
-    Starts from `kmeans_model` when given, which must be the default
-    K-Means fit of these rows with k = g and this seed; otherwise fits it.
-    """
-    return gmm_fits(m, [g], seed=seed, max_iter=max_iter, tol=tol, kmeans_models=[kmeans_model])[0]
+    """Fit a g-component mixture by EM, started from its own K-Means fit:
+    `gmm_fits` for this one g."""
+    return gmm_fits(m, [g], seed=seed, max_iter=max_iter, tol=tol)[0]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import numpy as np
 
 from mealclust.features import FeatureMatrix
 
-DEFAULT_MAX_ITER = 300
-DEFAULT_TOL = 1e-6
+MAX_ITER = 300
+TOL = 1e-6
 
 
 @dataclass
@@ -117,27 +117,17 @@ def _cluster_means(data: np.ndarray, data_t: np.ndarray, labels: np.ndarray, cou
     return means
 
 
-def kmeans_fit(
-    m: FeatureMatrix | np.ndarray,
-    k: int,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> KMeansModel:
+def kmeans_fit(m: FeatureMatrix | np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     """Fit K-Means by Lloyd iterations.
 
-    Stops when the maximum centroid displacement drops below `tol` or
-    after `max_iter` iterations. Single restart; sweeps vary seeds
+    Stops when the maximum centroid displacement drops below TOL or
+    after MAX_ITER iterations. Single restart; sweeps vary seeds
     explicitly.
     """
     data = _as_array(m)
     n = data.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
 
     rng = np.random.default_rng(seed)
     data_t = np.ascontiguousarray(data.T)
@@ -147,7 +137,7 @@ def kmeans_fit(
     inertia = 0.0
     inertia_history: list[float] = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         sq = _sq_distances(data_t, centroids)
         labels = np.argmin(sq, axis=0)
         own_dist = sq.min(axis=0)  # each point's distance to its assigned centroid
@@ -165,7 +155,7 @@ def kmeans_fit(
 
         displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if displacement < tol:
+        if displacement < TOL:
             break
 
     # final assignment against the converged centroids

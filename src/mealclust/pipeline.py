@@ -60,8 +60,7 @@ class RunConfig:
         the modules that use the parameters own the rules."""
         if (self.input_path is None) == (self.synth_profile_path is None):
             raise ValueError("exactly one of input_path or synth_profile_path is required")
-        if not self.locations:
-            raise ValueError("locations set must be non-empty")
+        events_mod.check_locations(self.locations)
         episodes_mod.check_thresholds(self.gap_threshold_min, self.min_duration_min, self.min_events)
         check_param_range(self.k_range, "k_range")
         check_param_range(self.g_range, "g_range")

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from mealclust import gmm, kmeans, pipeline
-from mealclust.cli import main
+from mealclust.cli import build_parser, main
 from mealclust.episodes import read_episodes_csv
 from mealclust.events import events_to_csv, parse_events
 from mealclust.gmm import FitError
@@ -180,6 +181,84 @@ def test_bad_parameter_message_names_the_flag(tmp_path, profile_path, capsys, fl
     err = capsys.readouterr().err
     assert err.startswith("usage: mealclust run ")
     assert err.endswith(f"mealclust run: error: {message}\n")
+
+
+def test_each_run_config_field_has_exactly_one_flag():
+    args = build_parser().parse_args(["run", "--input", "trace.csv", "--out", "out"])
+    dests = sorted(action.dest for action in args.actions)
+    assert dests == sorted(f.name for f in dataclasses.fields(pipeline.RunConfig))
+
+
+TOP_HELP = """\
+usage: mealclust [-h] {run,generate} ...
+
+Command-line driver.
+
+Subcommands:
+    mealclust run       full pipeline: ingest/generate -> segment -> sweeps
+    mealclust generate  synthetic trace + planted-truth sidecar
+
+Exit codes: 0 success, 1 usage, 2 input error, 3 pipeline error.
+Seed fallback: MEALCLUST_SEED environment variable.
+
+positional arguments:
+  {run,generate}
+    run           run the full clustering pipeline
+    generate      write a synthetic trace CSV plus planted-truth sidecar
+
+options:
+  -h, --help      show this help message and exit
+"""
+
+RUN_HELP = """\
+usage: mealclust run [-h] (--input INPUT | --synth-profile SYNTH_PROFILE)
+                     [--locations LOCATIONS] [--gap-min GAP_MIN]
+                     [--min-duration-min MIN_DURATION_MIN]
+                     [--min-events MIN_EVENTS]
+                     [--features {duration,duration+hour}]
+                     [--scale {none,zscore}] [--k-range A..B] [--g-range A..B]
+                     [--eps LIST] [--min-pts MIN_PTS] [--seed SEED] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         sensor-log CSV to ingest
+  --synth-profile SYNTH_PROFILE
+                        synthetic profile to generate and analyze
+  --locations LOCATIONS
+                        comma-separated meal locations (default:
+                        dining_room,kitchen)
+  --gap-min GAP_MIN     episode gap threshold in minutes
+  --min-duration-min MIN_DURATION_MIN
+  --min-events MIN_EVENTS
+  --features {duration,duration+hour}
+  --scale {none,zscore}
+  --k-range A..B
+  --g-range A..B
+  --eps LIST            comma-separated eps values for the DBSCAN sweep
+  --min-pts MIN_PTS
+  --seed SEED           fit seed (fallback: MEALCLUST_SEED, then 0)
+  --out OUT             output directory
+"""
+
+
+@pytest.mark.parametrize("argv, text", [(["-h"], TOP_HELP), (["run", "-h"], RUN_HELP)], ids=["top", "run"])
+def test_help_text_is_pinned(monkeypatch, capsys, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+def test_run_on_csv_input_with_byte_order_mark(tmp_path, profile_path):
+    gen = tmp_path / "gen"
+    run_cli("generate", "--profile", profile_path, "--out", gen)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (gen / "trace.csv").read_bytes())
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run_cli("run", "--input", gen / "trace.csv", "--out", out1) == 0
+    assert run_cli("run", "--input", bom, "--out", out2) == 0
+    assert (out1 / "house-1" / "summary.json").read_bytes() == (out2 / "house-1" / "summary.json").read_bytes()
 
 
 def test_malformed_csv_framing_is_an_input_error(tmp_path, capsys):

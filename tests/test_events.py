@@ -115,6 +115,22 @@ def test_unknown_header_column():
         parse_events(HEADER.rstrip() + ",extra\n")
 
 
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path):
+    text = HEADER + row("2024-03-01T08:00:00")
+    expected = parse_events(text)
+    assert len(expected[0]) == 1
+    assert parse_events("\ufeff" + text) == expected
+    quoted = '"timestamp","household_id",sensor_id,sensor_kind,location,value\n' + row("2024-03-01T08:00:00")
+    assert parse_events("\ufeff" + quoted) == expected
+    for empty in ("", "\ufeff"):
+        with pytest.raises(SchemaError, match="empty input: missing header row"):
+            parse_events(empty)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    with open(path, encoding="utf-8") as fh:
+        assert parse_events(fh) == expected
+
+
 def test_out_of_order_rows_sorted():
     text = HEADER + row("2024-03-02T09:00:00") + row("2024-03-01T08:00:00")
     events, rejections = parse_events(text)
@@ -193,7 +209,7 @@ def test_filter_identity_with_all_locations():
 
 
 def test_filter_empty_locations_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="locations set must be non-empty"):
         filter_meal_locations([], set())
 
 

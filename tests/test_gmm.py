@@ -177,20 +177,20 @@ def test_fit_from_a_given_kmeans_model_equals_its_own_start():
     m = scale_features(build_features(segment_episodes(filter_meal_locations(events))), "zscore")
     report = sweep_kmeans(m, seed=4)
     for km in report.models:
-        assert_same_fit(gmm_fit(m, g=km.k, seed=4, kmeans_model=km), gmm_fit(m, g=km.k, seed=4))
+        assert_same_fit(gmm_fits(m, [km.k], seed=4, kmeans_models=[km])[0], gmm_fit(m, g=km.k, seed=4))
 
 
 def test_fit_rejects_a_mismatched_kmeans_model():
     rng = np.random.default_rng(43)
     data = rng.normal(size=(40, 2))
     km = kmeans_fit(data, k=3, seed=1)
-    gmm_fit(matrix(data), g=3, seed=1, kmeans_model=km)
+    gmm_fits(matrix(data), [3], seed=1, kmeans_models=[km])
     with pytest.raises(ValueError, match="does not match"):
-        gmm_fit(matrix(data), g=4, seed=1, kmeans_model=km)  # wrong k
+        gmm_fits(matrix(data), [4], seed=1, kmeans_models=[km])  # wrong k
     with pytest.raises(ValueError, match="does not match"):
-        gmm_fit(matrix(data), g=3, seed=2, kmeans_model=km)  # wrong seed
+        gmm_fits(matrix(data), [3], seed=2, kmeans_models=[km])  # wrong seed
     with pytest.raises(ValueError, match="does not match"):
-        gmm_fit(matrix(data[:30]), g=3, seed=1, kmeans_model=km)  # wrong row count
+        gmm_fits(matrix(data[:30]), [3], seed=1, kmeans_models=[km])  # wrong row count
     with pytest.raises(ValueError, match="one entry per g"):
         gmm_fits(matrix(data), [3, 4], seed=1, kmeans_models=[km])
 

@@ -12,8 +12,8 @@ from mealclust.features import (
     scale_features,
 )
 from mealclust.kmeans import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
+    MAX_ITER,
+    TOL,
     KMeansModel,
     _centred,
     assign,
@@ -49,7 +49,7 @@ def reference_seed_centroids(data, k, rng):
     return data[chosen].copy()
 
 
-def reference_kmeans_fit(data, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def reference_kmeans_fit(data, k, seed):
     """Lloyd iterations with one boolean mask and one mean per cluster: the
     loop form that kmeans_fit must reproduce bit for bit."""
     n = data.shape[0]
@@ -57,7 +57,7 @@ def reference_kmeans_fit(data, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_T
     centroids = reference_seed_centroids(data, k, rng)
     inertia_history = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         sq = reference_sq_distances(data, centroids)
         labels = np.argmin(sq, axis=0)
         inertia = float(sq[labels, np.arange(n)].sum())
@@ -77,7 +77,7 @@ def reference_kmeans_fit(data, k, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_T
 
         displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if displacement < tol:
+        if displacement < TOL:
             break
 
     sq = reference_sq_distances(data, centroids)
