@@ -106,13 +106,14 @@ def _core_distances(cols: np.ndarray, min_pts: int, block: np.ndarray) -> np.nda
     return core_dist
 
 
-def _spanning_tree(cols: np.ndarray, core_dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spanning_tree(cols: np.ndarray, core_dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prim's minimum spanning tree under the mutual-reachability weight
-    max(d_ij, cd_i, cd_j), one distance row per step. Returns the N - 1
-    edges as (point, parent, weight), in the order the points joined."""
+    max(d_ij, cd_i, cd_j), one distance row per step, rooted at point 0.
+    Returns (parent, weight): each point's parent and the weight of the
+    edge to it. The weight is inf at the root and at any point that joins
+    with no finite edge (min_pts > N, or NaN input)."""
     n = len(core_dist)
-    joined = np.zeros(n, dtype=np.intp)
-    weight = np.empty(n)
+    weight = np.full(n, np.inf)
     parent = np.zeros(n, dtype=np.intp)
     best = np.full(n, np.inf)  # lightest edge from each point into the tree
     reach = core_dist.copy()  # inf once a point is in the tree, so its edges never improve
@@ -120,7 +121,7 @@ def _spanning_tree(cols: np.ndarray, core_dist: np.ndarray) -> tuple[np.ndarray,
     row = np.empty((2, 1, n))
     lighter = np.empty(n, dtype=bool)
     cur = 0
-    for step in range(1, n):
+    for _ in range(n - 1):
         in_tree[cur] = True
         reach[cur] = best[cur] = np.inf
         w = _distances(cols, slice(cur, cur + 1), *row)[0]
@@ -130,66 +131,57 @@ def _spanning_tree(cols: np.ndarray, core_dist: np.ndarray) -> tuple[np.ndarray,
         np.copyto(best, w, where=lighter)
         np.copyto(parent, cur, where=lighter)
         cur = int(best.argmin())
-        if in_tree[cur]:  # no finite edge left (min_pts > N, or NaN input): join at weight inf
+        if in_tree[cur]:  # no finite edge left: join at weight inf
             cur = int(in_tree.argmin())
-        joined[step], weight[step] = cur, best[cur]
-    return joined[1:], parent[joined[1:]], weight[1:]
+        weight[cur] = best[cur]
+    return parent, weight
 
 
-def _core_labels(tree: tuple[np.ndarray, np.ndarray, np.ndarray], core_dist: np.ndarray,
-                 eps_sorted: list[float]) -> list[np.ndarray]:
-    """Labels of the core points at each eps (ascending), NOISE elsewhere.
+def _core_labels(parent: np.ndarray, weight: np.ndarray, core_dist: np.ndarray,
+                 eps_values: list[float]) -> list[np.ndarray]:
+    """Labels of the core points at each eps, NOISE elsewhere.
 
-    The core clusters at eps are the components of the spanning tree's
-    edges lighter than eps. A union-find that keeps the lower root merges
-    them eps by eps, so each root is its component's lowest core index,
-    and a cluster's id is the rank of its root among the core roots.
+    The core clusters at eps are the components of the tree's edges
+    lighter than eps. Each point points at its parent across such an edge
+    and at itself otherwise; pointer jumping takes every point to its
+    component's top, and a cluster's id is the rank of the component's
+    lowest index among the core components. An edge lighter than eps
+    joins two core points (its weight is at least both core distances),
+    so a non-core point is alone in its component.
     """
     n = len(core_dist)
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    order = np.argsort(tree[2], kind="stable")
-    joined, parents, weights = (a[order].tolist() for a in tree)
-    merged = 0
+    index = np.arange(n)
     labelled = []
-    for eps in eps_sorted:
-        while merged < len(weights) and weights[merged] < eps:
-            a, b = find(joined[merged]), find(parents[merged])
-            root[max(a, b)] = min(a, b)
-            merged += 1
-        roots = np.array(root, dtype=np.intp)
-        while not np.array_equal(up := roots[roots], roots):
-            roots = up
+    for eps in eps_values:
+        top = np.where(weight < eps, parent, index)
+        while not np.array_equal(up := top[top], top):
+            top = up
+        lowest = np.full(n, n)
+        np.minimum.at(lowest, top, index)
         core = core_dist < eps
         labels = np.full(n, NOISE, dtype=int)
-        labels[core] = np.unique(roots[core], return_inverse=True)[1]
+        labels[core] = np.unique(lowest[top[core]], return_inverse=True)[1]
         labelled.append(labels)
     return labelled
 
 
-def _label_borders(cols: np.ndarray, core_dist: np.ndarray, eps_sorted: list[float],
+def _label_borders(cols: np.ndarray, core_dist: np.ndarray, eps_values: list[float],
                    labelled: list[np.ndarray], block: np.ndarray) -> None:
     """Give each point that is not core at an eps the lowest label among the
     core points closer than eps, in place; it stays NOISE when there is
     none. One blocked pass over the rows of such points."""
     n = len(core_dist)
     core_ids = [np.where(labels == NOISE, n, labels) for labels in labelled]  # n: not a core
-    candidates = np.flatnonzero(core_dist >= eps_sorted[0])
+    candidates = np.flatnonzero(core_dist >= min(eps_values))
     within = np.empty(block.shape[1:], dtype=bool)
     for start in range(0, len(candidates), BLOCK_ROWS):
         rows = candidates[start : start + BLOCK_ROWS]
         dist = _distances(cols, rows, *block[:, : len(rows)])
         near = within[: len(rows)]
-        for eps, labels, ids in zip(eps_sorted, labelled, core_ids):
+        for eps, labels, ids in zip(eps_values, labelled, core_ids):
             border = core_dist[rows] >= eps
             if not border.any():
-                break  # cd >= eps only shrinks as eps grows
+                continue
             np.less(dist, eps, out=near)
             owner = np.min(np.broadcast_to(ids, near.shape), axis=1, where=near, initial=n)
             labels[rows[border]] = np.where(owner < n, owner, NOISE)[border]
@@ -200,7 +192,8 @@ def dbscan_fits(
 ) -> list[DbscanResult]:
     """One DBSCAN result per eps value, in the caller's order, from one
     mutual-reachability spanning tree in O(N) memory: distances are taken
-    BLOCK_ROWS rows or one row at a time, never as an N x N matrix.
+    BLOCK_ROWS rows or one row at a time, never as an N x N matrix. The
+    tree is held as a parent per point and cut once per eps.
 
     Labels follow the module's ordering rule: clusters numbered by their
     lowest core index, each border point in the lowest-id cluster among
@@ -211,19 +204,16 @@ def dbscan_fits(
     n = cols.shape[1]
     block = np.empty((2, min(BLOCK_ROWS, n), n))
     core_dist = _core_distances(cols, min_pts, block)
-    eps_sorted = sorted(set(eps_values))
-    labelled = _core_labels(_spanning_tree(cols, core_dist), core_dist, eps_sorted)
-    _label_borders(cols, core_dist, eps_sorted, labelled, block)
-    by_eps = dict(zip(eps_sorted, labelled))
+    labelled = _core_labels(*_spanning_tree(cols, core_dist), core_dist, eps_values)
+    _label_borders(cols, core_dist, eps_values, labelled, block)
     return [
-        DbscanResult(eps=eps, min_pts=min_pts, labels=by_eps[eps].copy(),
-                     n_clusters=int(by_eps[eps].max(initial=NOISE)) + 1)
-        for eps in eps_values
+        DbscanResult(eps=eps, min_pts=min_pts, labels=labels, n_clusters=int(labels.max(initial=NOISE)) + 1)
+        for eps, labels in zip(eps_values, labelled)
     ]
 
 
 def dbscan_fit(m: FeatureMatrix | np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> DbscanResult:
-    """Classical DBSCAN over an exact O(N^2) distance scan.
+    """DBSCAN at one eps: the cut of `dbscan_fits`' spanning tree below eps.
 
     Clusters are the connected components of the core points, numbered by
     their lowest core index; a border point joins the lowest-id cluster

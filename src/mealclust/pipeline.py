@@ -102,7 +102,10 @@ def _load_events(config: RunConfig):
             raise SchemaError(f"unreadable input: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise _utf8_error(config.input_path, exc) from None
-    profile = synth_mod.load_profile(config.synth_profile_path)
+    try:
+        profile = synth_mod.load_profile(config.synth_profile_path)
+    except OSError as exc:
+        raise SchemaError(f"unreadable input: {exc}") from exc
     return synth_mod.generate_trace(profile), []
 
 
@@ -173,10 +176,9 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full pipeline, writing per-household artifact directories."""
     config.validate()
+    all_events, rejections = _load_events(config)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-
-    all_events, rejections = _load_events(config)
     if rejections:
         (out_root / "rejections.csv").write_text(events_mod.rejections_to_csv(rejections))
 

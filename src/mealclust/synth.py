@@ -137,13 +137,11 @@ def generate_with_truth(profile: HouseholdProfile) -> tuple[EventTable, list[Pla
             offsets_min = np.append(np.arange(0.0, duration, step_min), duration)
             meal_seconds.append(epoch_seconds(start) + np.rint(offsets_min * 60).astype(np.int64))
 
-    n_noise = int(rng.poisson(profile.noise_events_per_day * profile.days)) if profile.days else 0
-    total_seconds = profile.days * 86400
-    offsets_s = np.empty(n_noise, dtype=np.int64)
-    rooms = np.empty(n_noise, dtype=np.int64)
-    for i in range(n_noise):
-        offsets_s[i] = rng.integers(0, max(total_seconds, 1))
-        rooms[i] = rng.integers(0, len(NOISE_LOCATIONS))
+    # One draw of (offset, room) pairs: numpy takes each element through
+    # the same bounded generator, in the same order, as a scalar call would.
+    n_noise = int(rng.poisson(profile.noise_events_per_day * profile.days))
+    highs = np.tile([profile.days * 86400, len(NOISE_LOCATIONS)], n_noise)
+    offsets_s, rooms = rng.integers(0, highs).reshape(-1, 2).T
 
     # Codes into `names`: household 0, kind 1 ("motion"), and for room r
     # (0 the kitchen, then NOISE_LOCATIONS) location 2r + 2 and sensor

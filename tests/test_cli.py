@@ -114,6 +114,14 @@ def test_run_no_meal_events(tmp_path):
 def test_run_unreadable_input(tmp_path):
     code = run_cli("run", "--input", tmp_path / "missing.csv", "--out", tmp_path / "out")
     assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_missing_profile(tmp_path, capsys):
+    code = run_cli("run", "--synth-profile", tmp_path / "missing.profile", "--out", tmp_path / "out")
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    assert "mealclust: input error: unreadable input: " in capsys.readouterr().err
 
 
 def test_run_schema_error(tmp_path):
@@ -121,6 +129,7 @@ def test_run_schema_error(tmp_path):
     csv_path.write_text("time,house\n")
     code = run_cli("run", "--input", csv_path, "--out", tmp_path / "out")
     assert code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exit_code():

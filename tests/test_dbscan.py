@@ -381,6 +381,50 @@ def test_fits_match_matrix_reference_on_two_year_profile(scaling):
         assert result.n_clusters == n_clusters, f"eps={result.eps}"
 
 
+def reference_mst_weights(data, min_pts):
+    """Mutual-reachability matrix max(d_ij, cd_i, cd_j) and the edge
+    weights of a minimum spanning tree of it, by dense Prim."""
+    dist = _pairwise_distances(data)
+    n = len(data)
+    core_dist = np.sort(dist, axis=1)[:, min_pts - 1] if min_pts <= n else np.full(n, np.inf)
+    reach = np.maximum(dist, np.maximum.outer(core_dist, core_dist))
+    best = reach[0].copy()
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    weights = []
+    for _ in range(n - 1):
+        j = np.flatnonzero(outside)[best[outside].argmin()]
+        weights.append(best[j])
+        outside[j] = False
+        np.minimum(best, reach[j], out=best)
+    return reach, np.array(weights)
+
+
+def test_spanning_tree_is_a_minimum_spanning_tree():
+    # any exact MST gives the same components at every cut, so the labels
+    # rest on the tree's weights being an MST's, not on which MST it is
+    rng = np.random.default_rng(59)
+    for case in range(200):
+        n, d, min_pts = int(rng.integers(1, 61)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        if case % 2:
+            data = rng.integers(0, 6, size=(n, d)).astype(float)
+        else:
+            data = rng.uniform(-10, 10, size=(n, d))
+        cols = np.ascontiguousarray(data.T)
+        block = np.empty((2, min(dbscan_mod.BLOCK_ROWS, n), n))
+        core_dist = dbscan_mod._core_distances(cols, min_pts, block)
+        parent, weight = dbscan_mod._spanning_tree(cols, core_dist)
+        reach, want = reference_mst_weights(data, min_pts)
+        assert weight[0] == np.inf
+        finite = np.isfinite(weight)
+        assert np.sort(weight[finite]) == pytest.approx(np.sort(want[np.isfinite(want)]), rel=1e-12)
+        assert weight[finite] == pytest.approx(reach[finite, parent[finite]], rel=1e-12)
+        top = parent
+        for _ in range(n):
+            top = parent[top]
+        assert (top == 0).all()
+
+
 # Mostly exact distances between points of a 0..5 integer grid, so eps lands on ties.
 _GRID_EPS = [0.5, 1.0, float(np.sqrt(2.0)), 2.0, float(np.sqrt(5.0)), 2.5, 3.0]
 

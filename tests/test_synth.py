@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 from mealclust.episodes import segment_episodes
-from mealclust.events import events_to_csv, filter_meal_locations, parse_events
+from mealclust.events import epoch_seconds, events_to_csv, filter_meal_locations, parse_events
 from mealclust.synth import (
+    BASE_DATE,
+    NOISE_LOCATIONS,
     HouseholdProfile,
     MealCategory,
     default_profile,
@@ -26,6 +29,40 @@ def one_category_profile(days=30, seed=0, probability=1.0):
 
 def test_zero_days_empty_trace():
     assert generate_trace(one_category_profile(days=0)) == []
+
+
+def reference_noise(profile):
+    """Noise offsets (seconds from BASE_DATE) and rooms drawn one scalar
+    call at a time, for a profile whose categories never fire, so the
+    meal loop takes exactly one rng.random() per category and day."""
+    rng = np.random.default_rng(profile.seed)
+    for _ in range(profile.days * len(profile.categories)):
+        rng.random()
+    n_noise = int(rng.poisson(profile.noise_events_per_day * profile.days)) if profile.days else 0
+    offsets = np.empty(n_noise, dtype=np.int64)
+    rooms = np.empty(n_noise, dtype=np.int64)
+    for i in range(n_noise):
+        offsets[i] = rng.integers(0, max(profile.days * 86400, 1))
+        rooms[i] = rng.integers(0, len(NOISE_LOCATIONS))
+    order = np.argsort(offsets, kind="stable")
+    return offsets[order], [NOISE_LOCATIONS[r] for r in rooms[order]]
+
+
+@pytest.mark.parametrize("days, rate", [(0, 5.0), (1, 5.0), (365, 30.0), (50_000, 0.002)])
+def test_noise_matches_scalar_draws(days, rate):
+    # 50,000 days span more than 2**32 seconds, numpy's 64-bit bounded path
+    profile = HouseholdProfile(
+        household_id="h1",
+        categories=(MealCategory("lunch", 12.5, 0.5, 30.0, 6.0, 0.0),),
+        days=days,
+        noise_events_per_day=rate,
+        seed=days + 3,
+    )
+    events = generate_trace(profile)
+    offsets, rooms = reference_noise(profile)
+    assert days == 0 or len(offsets) > 0
+    assert np.array_equal(events.seconds - epoch_seconds(BASE_DATE), offsets)
+    assert events.decoded(events.location) == rooms
 
 
 def test_one_category_daily_recovers_planted_count():
