@@ -19,11 +19,6 @@ from mealclust import features as features_mod
 from mealclust import pipeline
 from mealclust.events import SchemaError
 
-FEATURE_MODES = {
-    "duration": features_mod.MODE_DURATION_ONLY,
-    "duration+hour": features_mod.MODE_DURATION_AND_START_HOUR,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
@@ -78,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="episode gap threshold in minutes"),
         run.add_argument("--min-duration-min", type=float),
         run.add_argument("--min-events", type=int),
-        run.add_argument("--features", dest="feature_mode", choices=sorted(FEATURE_MODES)),
-        run.add_argument("--scale", dest="scaling", choices=["none", "zscore"]),
+        run.add_argument("--features", dest="feature_mode",
+                         choices=[features_mod.MODE_DURATION_ONLY, features_mod.MODE_DURATION_AND_START_HOUR]),
+        run.add_argument("--scale", dest="scaling", choices=[features_mod.SCALING_NONE, features_mod.SCALING_ZSCORE]),
         run.add_argument("--k-range", type=_parse_range, metavar="A..B"),
         run.add_argument("--g-range", type=_parse_range, metavar="A..B"),
         run.add_argument("--eps", dest="eps_values", type=_parse_eps_list, metavar="LIST",
@@ -100,8 +96,6 @@ def _cmd_run(args) -> int:
     parser = args.subparser
     flags = {action.dest: action.option_strings[0] for action in args.actions}
     fields = {dest: getattr(args, dest) for dest in flags if hasattr(args, dest)}
-    if "feature_mode" in fields:
-        fields["feature_mode"] = FEATURE_MODES[fields["feature_mode"]]
     if "seed" not in fields:
         fields["seed"] = _default_seed(parser)
         flags["seed"] = "MEALCLUST_SEED"

@@ -276,7 +276,8 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     event table or in the rejection report, which is in line order.
 
     Raises SchemaError if the header is missing a required column or
-    carries an unknown one, or if the file is not well-formed CSV.
+    carries an unknown or a repeated one, or if the file is not
+    well-formed CSV.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -293,6 +294,10 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     for col in header:
         if col not in REQUIRED_COLUMNS:
             raise SchemaError(f"unknown column: {col}")
+    if len(header) > len(REQUIRED_COLUMNS):
+        # every column is known, so one repeats within the first len + 1
+        duplicate = next(col for i, col in enumerate(header) if col in header[:i])
+        raise SchemaError(f"duplicate column: {duplicate}")
     idx = {col: header.index(col) for col in REQUIRED_COLUMNS}
 
     vocab: dict[str, int] = {}

@@ -14,8 +14,8 @@ import numpy as np
 
 from mealclust.episodes import ActivityEpisode
 
-MODE_DURATION_ONLY = "duration_only"
-MODE_DURATION_AND_START_HOUR = "duration_and_start_hour"
+MODE_DURATION_ONLY = "duration"
+MODE_DURATION_AND_START_HOUR = "duration+hour"
 
 SCALING_NONE = "none"
 SCALING_ZSCORE = "zscore"

@@ -1,12 +1,12 @@
 """Gaussian mixture modelling by expectation-maximization.
 
 The mixture density is a weighted sum of full-covariance multivariate
-normals. Fits are initialized from a K-Means partition with the same
-seed (fitted here, or handed over by a caller that already holds it),
-responsibilities are computed in log-space, and every M-step floors
-covariance diagonals to keep components non-singular.
+normals. Each fit starts from a K-Means partition of the same rows,
+whose k and seed become the fit's g and seed; responsibilities are
+computed in log-space, and every M-step floors covariance diagonals to
+keep components non-singular.
 
-EM for several g values runs in lockstep (`gmm_fits`): the components
+EM for several starts runs in lockstep (`gmm_fits`): the components
 of all live fits are stacked along one component axis, so each E-step
 and M-step makes one set of numpy calls for every fit at once. Fits
 join the stack in order while it holds at most STACK_CELLS components x
@@ -27,8 +27,8 @@ import numpy as np
 from mealclust.features import FeatureMatrix
 from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array, _centred
 
-DEFAULT_MAX_ITER = 200
-DEFAULT_TOL = 1e-6
+MAX_ITER = 200
+TOL = 1e-6
 VARIANCE_FLOOR = 1e-6
 
 # Components x points one lockstep stack may hold. A small household's
@@ -215,7 +215,7 @@ class _Fit:
 
     order: int
     g: int
-    done: bool  # met tol or max_iter, so its next E-step is its last
+    done: bool  # met TOL or MAX_ITER, so its next E-step is its last
     iterations: int = 0
     ll_trace: list[float] = field(default_factory=list)
     weights_trace: list[np.ndarray] = field(default_factory=list)
@@ -227,54 +227,36 @@ def _spans(fits: list[_Fit]) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def gmm_fits(
-    m: FeatureMatrix | np.ndarray,
-    gs: Sequence[int],
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    kmeans_models: Sequence[KMeansModel | None] | None = None,
-) -> list[GmmModel]:
-    """Fit a mixture for every g in `gs` by EM, in lockstep; returns the
-    models in the order of `gs`, each equal bit for bit to a lone fit.
+def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> list[GmmModel]:
+    """Fit one mixture by EM from each K-Means fit in `starts`, in
+    lockstep; model i has g = starts[i].k and seed = starts[i].seed, and
+    equals bit for bit a lone fit from that start.
 
     The live fits' components are stacked into one (C, N) state, so each
     E-step and M-step makes one set of numpy calls for all of them. Fits
-    join the stack in the order of `gs` while it holds at most STACK_CELLS
-    components x points (at least one fit always runs), and a fit leaves
-    after its final E-step, making room for the next.
+    join the stack in the order of `starts` while it holds at most
+    STACK_CELLS components x points (at least one fit always runs), and a
+    fit leaves after its final E-step, making room for the next.
 
-    `kmeans_models`, when given, holds one entry per g: the default K-Means
-    fit of these rows with k = g and this seed, or None to fit it here.
     Each fit stops when its relative log-likelihood improvement drops
-    below `tol` or after `max_iter` iterations. Hard labels are the
-    per-point argmax responsibility (ties resolve to the lowest component
-    index). A collapse raises the FitError that fitting each g in turn
-    would raise: that of the first g in `gs` whose fit collapses.
+    below TOL or after MAX_ITER iterations. Hard labels are the per-point
+    argmax responsibility (ties resolve to the lowest component index). A
+    collapse raises the FitError that fitting each start in turn would
+    raise: that of the first start whose fit collapses.
     """
     data = _as_array(m)
     n, d = data.shape
-    if kmeans_models is None:
-        kmeans_models = [None] * len(gs)
-    if len(kmeans_models) != len(gs):
-        raise ValueError("kmeans_models must hold one entry per g")
-    for g in gs:
-        if not 1 <= g <= n:
-            raise ValueError(f"g must be in [1, {n}], got {g}")
     if n < 2:
         raise ValueError("gmm_fit requires at least 2 points")
-    for g, km in zip(gs, kmeans_models):
-        if km is not None and (km.k, km.seed, len(km.labels)) != (g, seed, n):
-            raise ValueError(
-                f"K-Means model (k={km.k}, seed={km.seed}, {len(km.labels)} rows)"
-                f" does not match g={g}, seed={seed}, {n} rows"
-            )
+    for km in starts:
+        if len(km.labels) != n:
+            raise ValueError(f"K-Means model of {len(km.labels)} rows does not match {n} rows")
 
     data_t = np.ascontiguousarray(data.T)
     floor = VARIANCE_FLOOR * np.eye(d)
-    waiting = deque(_Fit(i, g, done=max_iter < 1) for i, g in enumerate(gs))
+    waiting = deque(_Fit(i, km.k, done=False) for i, km in enumerate(starts))
     live: list[_Fit] = []
-    models: list[GmmModel] = [None] * len(gs)  # type: ignore[list-item]
+    models: list[GmmModel] = [None] * len(starts)  # type: ignore[list-item]
     error: FitError | None = None
     weights, means, covariances = np.empty(0), np.empty((0, d)), np.empty((0, d, d))
     while live or waiting:
@@ -282,8 +264,7 @@ def gmm_fits(
         joined = []
         while waiting and (cells == 0 or cells + waiting[0].g * n <= STACK_CELLS):
             fit = waiting.popleft()
-            km = kmeans_models[fit.order] or kmeans_fit(data, k=fit.g, seed=seed)
-            joined.append(_init_from_kmeans(data, km))
+            joined.append(_init_from_kmeans(data, starts[fit.order]))
             live.append(fit)
             cells += fit.g * n
         if joined:
@@ -317,7 +298,7 @@ def gmm_fits(
                     log_likelihood_trace=fit.ll_trace,
                     weights_trace=fit.weights_trace,
                     iterations_run=fit.iterations,
-                    seed=seed,
+                    seed=starts[fit.order].seed,
                 )
             else:
                 keep.append(i)
@@ -357,23 +338,17 @@ def gmm_fits(
         for fit, (lo, hi) in zip(live, spans):
             fit.weights_trace.append(weights[lo:hi].copy())
             ll = fit.ll_trace
-            fit.done = fit.iterations == max_iter or (len(ll) >= 2 and (ll[-1] - ll[-2]) < tol * abs(ll[-2]))
+            fit.done = fit.iterations == MAX_ITER or (len(ll) >= 2 and (ll[-1] - ll[-2]) < TOL * abs(ll[-2]))
 
     if error is not None:
         raise error
     return models
 
 
-def gmm_fit(
-    m: FeatureMatrix | np.ndarray,
-    g: int,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> GmmModel:
-    """Fit a g-component mixture by EM, started from its own K-Means fit:
-    `gmm_fits` for this one g."""
-    return gmm_fits(m, [g], seed=seed, max_iter=max_iter, tol=tol)[0]
+def gmm_fit(m: FeatureMatrix | np.ndarray, g: int, seed: int = 0) -> GmmModel:
+    """Fit a g-component mixture by EM, started from its own K-Means fit
+    with this seed."""
+    return gmm_fits(m, [kmeans_fit(m, k=g, seed=seed)])[0]
 
 
 @dataclass(frozen=True)

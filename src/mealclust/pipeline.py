@@ -9,6 +9,7 @@ never aborts the others.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
@@ -113,8 +114,11 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
     """Run one household end to end; returns its summary dict.
 
     Raises SweepError / FitError / ValueError upward for per-household
-    failures.
+    failures, among them an id that is not a plain directory name, so no
+    household writes outside --out.
     """
+    if household_id in ("", ".", "..") or any(sep and sep in household_id for sep in (os.sep, os.altsep)):
+        raise ValueError(f"household id {household_id!r} is not a plain directory name")
     episodes = episodes_mod.segment_episodes(
         hh_events,
         gap_threshold_min=config.gap_threshold_min,

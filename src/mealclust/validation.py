@@ -85,21 +85,21 @@ class SweepReport:
         )
 
 
-def davies_bouldin(m: FeatureMatrix | np.ndarray, labels: np.ndarray, exclude_noise: bool = False) -> float:
-    """Davies-Bouldin index of a hard partition.
+def davies_bouldin(m: FeatureMatrix | np.ndarray, labels: np.ndarray) -> float:
+    """Davies-Bouldin index of a hard partition, over the points not
+    labelled NOISE.
 
     Scatter is the mean Euclidean distance of a cluster's members to its
     centroid. Raises UndefinedDbiError when fewer than 2 clusters remain
-    (after optional noise exclusion) or two cluster centroids coincide.
+    after leaving out NOISE, or two cluster centroids coincide.
     """
     data = _as_array(m)
     labels = np.asarray(labels)
     if len(labels) != data.shape[0]:
         raise ValueError("labels length must match row count")
-    if exclude_noise:
-        keep = labels != NOISE
-        data = data[keep]
-        labels = labels[keep]
+    keep = labels != NOISE
+    data = data[keep]
+    labels = labels[keep]
     ids = np.unique(labels)
     k = len(ids)
     if k < 2:
@@ -163,7 +163,7 @@ def _sweep(
     for param, model in fits:
         labels = model.labels
         try:
-            dbi = davies_bouldin(m, labels, exclude_noise=True)
+            dbi = davies_bouldin(m, labels)
         except UndefinedDbiError:
             dbi = None
         noise = labels == NOISE
@@ -200,15 +200,21 @@ def sweep_gmm(
     on hard labels per g.
 
     Each fit starts from the model in `kmeans_models` whose k is g (for
-    example a K-Means sweep's `models` with the same seed), and fits its
-    own K-Means start where there is none.
+    example a K-Means sweep's `models`), and from its own K-Means fit
+    with this seed where there is none. Raises ValueError if a given
+    model's seed is not this seed.
 
     Components left empty by the hard assignment are simply absent from
     the labeling, so an entry's n_clusters may be below its g.
     """
     gs = _param_range(g_range, len(_as_array(m)), "g_range")
-    starts = {km.k: km for km in kmeans_models}
-    fits = gmm_fits(m, gs, seed=seed, kmeans_models=[starts.get(g) for g in gs])
+    given = {}
+    for km in kmeans_models:
+        if km.seed != seed:
+            raise ValueError(f"K-Means model of k={km.k} has seed {km.seed}, not {seed}")
+        given[km.k] = km
+    starts = [given.get(g) or kmeans_fit(m, k=g, seed=seed) for g in gs]
+    fits = gmm_fits(m, starts)
     return _sweep(m, "gmm", zip(gs, fits), seed, household_id)
 
 

@@ -124,11 +124,15 @@ def test_run_missing_profile(tmp_path, capsys):
     assert "mealclust: input error: unreadable input: " in capsys.readouterr().err
 
 
-def test_run_schema_error(tmp_path):
+def test_run_schema_error(tmp_path, capsys):
     csv_path = tmp_path / "input.csv"
     csv_path.write_text("time,house\n")
     code = run_cli("run", "--input", csv_path, "--out", tmp_path / "out")
     assert code == 2
+    assert not (tmp_path / "out").exists()
+    csv_path.write_text("timestamp,household_id,sensor_id,sensor_kind,location,value,value\n")
+    assert run_cli("run", "--input", csv_path, "--out", tmp_path / "out") == 2
+    assert "input error: duplicate column: value" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -327,10 +331,10 @@ def count_fits(monkeypatch, real_fit, param):
 
 def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):
     # the whole g range goes to one lockstep gmm_fits call per household
-    fitted_gs = count_fits(monkeypatch, gmm.gmm_fits, "gs")
+    fitted_starts = count_fits(monkeypatch, gmm.gmm_fits, "starts")
     config = pipeline.RunConfig(synth_profile_path=profile_path, g_range=range(2, 11), out_dir=tmp_path / "out")
     assert pipeline.run_pipeline(config).exit_code == 0
-    assert [sorted(gs) for gs in fitted_gs] == [list(range(2, 11))]
+    assert [sorted(km.k for km in starts) for starts in fitted_starts] == [list(range(2, 11))]
 
 
 def test_each_kmeans_is_fitted_once_per_k(tmp_path, profile_path, monkeypatch):
@@ -367,6 +371,28 @@ def test_per_household_failure_isolation(tmp_path, profile_path):
     code = run_cli("run", "--input", merged, "--out", out)
     assert code == 3  # h2 fails
     assert (out / "house-1" / "summary.json").exists()  # house-1 still processed
+
+
+def test_household_id_cannot_leave_the_output_directory(tmp_path, profile_path, capsys):
+    gen = tmp_path / "gen"
+    run_cli("generate", "--profile", profile_path, "--out", gen)
+    header, *rows = (gen / "trace.csv").read_text().splitlines()
+    escaped = [row.replace(",house-1,", ",../escaped,") for row in rows]
+    merged = tmp_path / "merged.csv"
+    merged.write_text("\n".join([header, *escaped, *rows]) + "\n")
+    out = tmp_path / "run" / "out"
+    assert run_cli("run", "--input", merged, "--out", out) == 3
+    assert (out / "house-1" / "summary.json").exists()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["out"]
+    assert sorted(p.name for p in out.iterdir()) == ["house-1"]
+    assert "../escaped: household id '../escaped' is not a plain directory name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("household_id", ["", ".", "..", "a/b", "/abs"])
+def test_household_id_must_be_a_plain_directory_name(tmp_path, household_id):
+    with pytest.raises(ValueError, match="is not a plain directory name"):
+        pipeline._process_household(household_id, None, pipeline.RunConfig(), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gmm_collapse_stays_in_its_household(tmp_path, profile_path, monkeypatch, capsys):

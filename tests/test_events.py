@@ -45,6 +45,9 @@ def reference_parse_events(stream):
     for col in header:
         if col not in REQUIRED_COLUMNS:
             raise SchemaError(f"unknown column: {col}")
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise SchemaError(f"duplicate column: {col}")
     idx = {col: header.index(col) for col in REQUIRED_COLUMNS}
 
     events = []
@@ -113,6 +116,15 @@ def test_missing_header_column():
 def test_unknown_header_column():
     with pytest.raises(SchemaError, match="extra"):
         parse_events(HEADER.rstrip() + ",extra\n")
+
+
+@pytest.mark.parametrize("parse", [parse_events, reference_parse_events])
+def test_duplicate_header_column(parse):
+    text = HEADER.rstrip() + ",value\n" + row("2024-03-01T08:00:00").rstrip() + ",1\n"
+    with pytest.raises(SchemaError, match="^duplicate column: value$"):
+        parse(text)
+    with pytest.raises(SchemaError, match="^duplicate column: location$"):
+        parse("location," + HEADER.replace("location", " location "))
 
 
 def test_byte_order_mark_before_the_header_is_dropped(tmp_path):

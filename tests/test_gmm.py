@@ -9,8 +9,8 @@ from mealclust.episodes import segment_episodes
 from mealclust.events import filter_meal_locations
 from mealclust.features import FeatureMatrix, build_features, scale_features
 from mealclust.gmm import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
+    MAX_ITER,
+    TOL,
     VARIANCE_FLOOR,
     FitError,
     GmmModel,
@@ -31,6 +31,11 @@ from mealclust.validation import sweep_kmeans
 def matrix(data):
     data = np.asarray(data, dtype=float)
     return FeatureMatrix(data=data, feature_names=[f"f{i}" for i in range(data.shape[1])])
+
+
+def starts(m, gs, seed):
+    """The K-Means start of each g, in the order of gs."""
+    return [kmeans_fit(m, k=g, seed=seed) for g in gs]
 
 
 def standard_2d():
@@ -73,7 +78,7 @@ def reference_logsumexp(a):
     return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def reference_gmm_fit(data, g, seed, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def reference_gmm_fit(data, g, seed, max_iter=MAX_ITER, tol=TOL):
     """Per-component EM over (N, D) and (N, g) arrays: the loop form that
     gmm_fit must reproduce bit for bit."""
     n, d = data.shape
@@ -176,23 +181,20 @@ def test_fit_from_a_given_kmeans_model_equals_its_own_start():
     events = generate_trace(default_profile(days=365, seed=0))
     m = scale_features(build_features(segment_episodes(filter_meal_locations(events))), "zscore")
     report = sweep_kmeans(m, seed=4)
-    for km in report.models:
-        assert_same_fit(gmm_fits(m, [km.k], seed=4, kmeans_models=[km])[0], gmm_fit(m, g=km.k, seed=4))
+    for km, got in zip(report.models, gmm_fits(m, report.models)):
+        assert got.params.g == km.k and got.seed == 4
+        assert_same_fit(got, gmm_fit(m, g=km.k, seed=4))
 
 
 def test_fit_rejects_a_mismatched_kmeans_model():
     rng = np.random.default_rng(43)
     data = rng.normal(size=(40, 2))
     km = kmeans_fit(data, k=3, seed=1)
-    gmm_fits(matrix(data), [3], seed=1, kmeans_models=[km])
+    gmm_fits(matrix(data), [km])
     with pytest.raises(ValueError, match="does not match"):
-        gmm_fits(matrix(data), [4], seed=1, kmeans_models=[km])  # wrong k
+        gmm_fits(matrix(data[:30]), [km])  # fitted on more rows
     with pytest.raises(ValueError, match="does not match"):
-        gmm_fits(matrix(data), [3], seed=2, kmeans_models=[km])  # wrong seed
-    with pytest.raises(ValueError, match="does not match"):
-        gmm_fits(matrix(data[:30]), [3], seed=1, kmeans_models=[km])  # wrong row count
-    with pytest.raises(ValueError, match="one entry per g"):
-        gmm_fits(matrix(data), [3, 4], seed=1, kmeans_models=[km])
+        gmm_fits(matrix(data), [km, kmeans_fit(data[:30], k=3, seed=1)])  # fitted on fewer rows
 
 
 def profile_features(profile, scaling="none"):
@@ -214,10 +216,7 @@ def fleet_household():
 def test_fits_of_a_fleet_household_match_reference_in_one_stack(fleet_household):
     m, want = fleet_household
     assert sum(SWEEP_GS) * len(m.data) <= gmm.STACK_CELLS  # every fit is live from the first step
-    for g, got in zip(SWEEP_GS, gmm_fits(m, SWEEP_GS, seed=3)):
-        assert_same_fit(got, want[g])
-    starts = [kmeans_fit(m, k=g, seed=3) for g in SWEEP_GS]
-    for g, got in zip(SWEEP_GS, gmm_fits(m, SWEEP_GS, seed=3, kmeans_models=starts)):
+    for g, got in zip(SWEEP_GS, gmm_fits(m, starts(m, SWEEP_GS, 3))):
         assert_same_fit(got, want[g])
 
 
@@ -236,7 +235,7 @@ def test_fits_match_reference_at_any_stack_size(fleet_household, monkeypatch, ce
     monkeypatch.setattr(gmm, "_log_weighted_densities", recording_densities)
     m, want = fleet_household
     gs = [7, 2, 10, 3, 9, 4, 5, 8, 6]
-    for g, got in zip(gs, gmm_fits(m, gs, seed=3)):
+    for g, got in zip(gs, gmm_fits(m, starts(m, gs, 3))):
         assert_same_fit(got, want[g])
     assert all(c * len(m.data) <= cells or c in gs for c in stacked)  # over the cap only alone
     assert (max(stacked) == sum(gs)) == (cells == 10**9)
@@ -246,7 +245,7 @@ def test_fits_match_reference_at_any_stack_size(fleet_household, monkeypatch, ce
 def test_fits_of_the_default_profile_match_reference_in_several_stacks(scaling):
     m = profile_features(default_profile(days=365), scaling)
     assert sum(SWEEP_GS) * len(m.data) > 2 * gmm.STACK_CELLS
-    for g, got in zip(SWEEP_GS, gmm_fits(m, SWEEP_GS, seed=0)):
+    for g, got in zip(SWEEP_GS, gmm_fits(m, starts(m, SWEEP_GS, 0))):
         assert_same_fit(got, reference_gmm_fit(m.data, g, seed=0))
 
 
@@ -267,7 +266,7 @@ def _lockstep_inputs(draw):
 def test_fits_match_reference_property(inputs):
     data, gs, seed, cells = inputs
     with mock.patch.object(gmm, "STACK_CELLS", cells):
-        models = gmm_fits(matrix(data), gs, seed=seed)
+        models = gmm_fits(matrix(data), starts(data, gs, seed))
     for g, got in zip(gs, models):
         assert_same_fit(got, reference_gmm_fit(data, g, seed))
 
@@ -298,7 +297,7 @@ def test_a_collapse_raises_the_error_of_the_first_collapsing_g(fleet_household, 
     seen = collapse_fits(monkeypatch, at)
     first = next(g for g in gs if g in at)
     with pytest.raises(FitError) as lockstep:
-        gmm_fits(m, gs, seed=3)
+        gmm_fits(m, starts(m, gs, 3))
     for g in at:
         seen[g] = 0
     with pytest.raises(FitError) as alone:
@@ -312,7 +311,7 @@ def test_far_starts_collapse_at_the_first_e_step():
     data = rng.normal(size=(30, 2))
     far = KMeansModel(3, np.full((3, 2), 1e200), np.arange(30) % 3, 0.0, [], 0, seed=0)
     with pytest.raises(FitError, match="at iteration 1$"), np.errstate(over="ignore", divide="ignore"):
-        gmm_fits(matrix(data), [2, 3], kmeans_models=[None, far])
+        gmm_fits(matrix(data), [kmeans_fit(data, k=2, seed=0), far])
 
 
 def test_density_peak_of_standard_normal():

@@ -129,7 +129,11 @@ def test_fit_matches_reference_with_empty_cluster_repair(d):
 
 @pytest.mark.parametrize(
     "mode,scaling",
-    [(MODE_DURATION_AND_START_HOUR, "none"), (MODE_DURATION_AND_START_HOUR, "zscore"), (MODE_DURATION_ONLY, "none")],
+    [
+        pytest.param(MODE_DURATION_AND_START_HOUR, "none", id="duration_and_start_hour-none"),
+        pytest.param(MODE_DURATION_AND_START_HOUR, "zscore", id="duration_and_start_hour-zscore"),
+        pytest.param(MODE_DURATION_ONLY, "none", id="duration_only-none"),
+    ],
 )
 def test_fit_matches_reference_on_default_profile(mode, scaling):
     episodes = segment_episodes(filter_meal_locations(generate_trace(default_profile(days=365, seed=0))))

@@ -80,9 +80,18 @@ def test_fewer_than_two_clusters_undefined():
 def test_noise_exclusion():
     m = matrix([[0, 0], [0, 2], [10, 0], [10, 2], [500, 500]])
     labels = np.array([0, 0, 1, 1, -1])
-    assert davies_bouldin(m, labels, exclude_noise=True) == pytest.approx(0.2)
+    assert davies_bouldin(m, labels) == pytest.approx(0.2)
     with pytest.raises(UndefinedDbiError):
-        davies_bouldin(m, np.array([0, 0, -1, -1, -1]), exclude_noise=True)
+        davies_bouldin(m, np.array([0, 0, -1, -1, -1]))
+
+
+def test_noise_points_are_left_out_of_every_score():
+    # the -1 points sit far out; scored as a cluster they would move the index
+    rng = np.random.default_rng(8)
+    data = np.vstack([rng.normal(0, 1, (20, 2)), rng.normal(9, 1, (20, 2)), rng.uniform(-40, 40, (6, 2))])
+    labels = np.repeat([0, 1, -1], [20, 20, 6])
+    assert davies_bouldin(matrix(data), labels) == davies_bouldin(matrix(data[:40]), labels[:40])
+    assert davies_bouldin(matrix(data), labels) != davies_bouldin(matrix(data), np.where(labels < 0, 2, labels))
 
 
 def test_coincident_centroids_undefined():
@@ -220,6 +229,15 @@ def test_gmm_sweep_shares_only_the_fits_it_sweeps():
     assert [e.param for e in shared.entries] == [3.0, 4.0, 5.0, 6.0]
 
 
+def test_gmm_sweep_rejects_fits_of_another_seed():
+    m = four_blobs(seed=5)
+    km = sweep_kmeans(m, k_range=range(2, 5), seed=1)
+    with pytest.raises(ValueError, match="seed 1, not 2"):
+        sweep_gmm(m, g_range=range(2, 5), seed=2, kmeans_models=km.models)
+    with pytest.raises(ValueError, match="seed 1, not 2"):
+        sweep_gmm(m, g_range=range(5, 7), seed=2, kmeans_models=km.models)  # none of them used
+
+
 def test_sweep_dbscan_two_blobs():
     rng = np.random.default_rng(9)
     data = np.vstack([
@@ -237,7 +255,7 @@ def test_sweep_dbscan_two_blobs():
         assert entry.n_clusters == result.n_clusters
         assert entry.n_noise == int((result.labels == -1).sum())
         try:
-            dbi = davies_bouldin(m, result.labels, exclude_noise=True)
+            dbi = davies_bouldin(m, result.labels)
         except UndefinedDbiError:
             dbi = None
         assert entry.dbi == dbi
