@@ -11,6 +11,11 @@ Events are held as columns in an `EventTable`: int64 seconds since
 1970-01-01T00:00:00 plus integer codes into one string vocabulary for
 household, sensor, kind and location. The table is a sequence of
 `SensorEvent`s, built one at a time as they are read.
+
+The parser reads bytes. A canonical row (a canonical timestamp first,
+then printable ASCII fields that pass every check) is parsed from its
+bytes; every other row goes through csv.reader and the per-row checks,
+so each rejection keeps its line and message.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, compress, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -37,8 +43,12 @@ MAX_YEAR = 2100
 
 EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
-# Rows parsed per batch: bounds the per-row Python objects alive at once.
-CHUNK_ROWS = 4096
+# Bytes of input parsed per block: bounds the per-row Python objects alive
+# at once. Rows that csv.reader frames go in batches of as many rows as a
+# block holds at _ROW_BYTES a row.
+CHUNK_BYTES = 256 * 1024
+_ROW_BYTES = 64
+_BOM = b"\xef\xbb\xbf"
 _BINARY = {"0": 0, "1": 1}
 # The fields of a row other than its timestamp, in `EventTable` order.
 _FIELD_COLUMNS = ("household_id", "sensor_id", "sensor_kind", "location", "value")
@@ -46,6 +56,9 @@ _FIELD_COLUMNS = ("household_id", "sensor_id", "sensor_kind", "location", "value
 # The canonical timestamp shape, ``YYYY-MM-DDTHH:MM:SS``, by character position.
 _DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _SEPARATOR_AT = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_STAMP_BYTES = 19
+# A row's bytes after its timestamp and the comma that ends it.
+_AFTER_STAMP = itemgetter(slice(_STAMP_BYTES + 1, None))
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -172,21 +185,13 @@ def parse_timestamp(text: str) -> datetime:
     return ts
 
 
-def _canonical_seconds(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of every text that is a valid timestamp of the exact
-    canonical shape (ASCII digits and separators at fixed places, a real
-    calendar date, hour <= 23, minute and second <= 59, year within
-    bounds), plus the mask of those texts. `parse_timestamp` accepts each
-    of them with the same value; the other texts are left to it."""
-    seconds = np.zeros(len(texts), dtype=np.int64)
-    valid = np.zeros(len(texts), dtype=bool)
-    at = np.flatnonzero(np.fromiter(map(len, texts), np.int64, len(texts)) == 19)
-    if not len(at):
-        return seconds, valid
-    # One byte per character: a non-ASCII character becomes "?", which
-    # fails the shape check below.
-    raw = "".join([texts[i] for i in at]).encode("ascii", "replace")
-    chars = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 19)
+def _canonical_seconds(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of every row of `chars`, an (n, 19) uint8 array, that
+    is a valid timestamp of the exact canonical shape (ASCII digits and
+    separators at fixed places, a real calendar date, hour <= 23, minute
+    and second <= 59, year within bounds), plus the mask of those rows.
+    `parse_timestamp` accepts each of them with the same value; the other
+    rows are left to it."""
     digits = chars[:, _DIGIT_AT].astype(np.int64) - ord("0")
     ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
     for pos, sep in _SEPARATOR_AT.items():
@@ -199,40 +204,67 @@ def _canonical_seconds(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     ok &= (1 <= day) & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59)
     months = ((year[ok] - 1970) * 12 + month[ok] - 1).astype("datetime64[M]")
     days = months.astype("datetime64[D]").astype(np.int64) + day[ok] - 1
-    seconds[at[ok]] = days * 86400 + hour[ok] * 3600 + minute[ok] * 60 + second[ok]
-    valid[at[ok]] = True
-    return seconds, valid
+    seconds = np.zeros(len(chars), dtype=np.int64)
+    seconds[ok] = days * 86400 + hour[ok] * 3600 + minute[ok] * 60 + second[ok]
+    return seconds, ok
 
 
-def _read(reader, n: int) -> list[list[str]]:
+def _read(reader, n: int, lines: Sequence[int]) -> list[list[str]]:
     """Up to `n` more records; malformed CSV framing (such as a field over
-    the csv module's size limit) is a SchemaError naming the line."""
+    the csv module's size limit) is a SchemaError naming the line, where
+    `lines` holds the input line of each line the reader reads."""
     try:
         return list(islice(reader, n))
     except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: malformed CSV: {exc}") from None
+        raise SchemaError(f"line {lines[reader.line_num - 1]}: malformed CSV: {exc}") from None
 
 
-def _parse_chunk(rows: list[list[str]], first_line: int, header_len: int, idx: dict[str, int],
-                 vocab: dict[str, int]) -> tuple[list[np.ndarray], list[Rejection]]:
-    """The event columns (in `EventTable` order, codes from `vocab`) and the
-    rejections of consecutive rows, the first of them on `first_line`.
+def _header(reader, lines: Sequence[int]) -> dict[str, int]:
+    """The column index of each required column, read from the header."""
+    header = _read(reader, 1, lines)
+    if not header:
+        raise SchemaError("empty input: missing header row")
+    header = [h.strip() for h in header[0]]
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            raise SchemaError(f"missing required column: {col}")
+    for col in header:
+        if col not in REQUIRED_COLUMNS:
+            raise SchemaError(f"unknown column: {col}")
+    if len(header) > len(REQUIRED_COLUMNS):
+        # every column is known, so one repeats within the first len + 1
+        duplicate = next(col for i, col in enumerate(header) if col in header[:i])
+        raise SchemaError(f"duplicate column: {duplicate}")
+    return {col: header.index(col) for col in REQUIRED_COLUMNS}
+
+
+def _parse_chunk(rows: list[list[str]], lines: np.ndarray, idx: dict[str, int],
+                 vocab: dict[str, int]) -> tuple[list[np.ndarray], list[Rejection], np.ndarray]:
+    """The event columns (in `EventTable` order, codes from `vocab`), the
+    rejections and the lines of the kept events of `rows`, which stand on
+    the input lines `lines`.
 
     Each row is judged by the first check it fails, in the order: field
     count, timestamp, kind, value, location. A log repeats few distinct
     (household, sensor, kind, location, value) fields, so those are
     stripped, checked and coded once per distinct tuple."""
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    whole = lengths == header_len
+    whole = lengths == len(REQUIRED_COLUMNS)
     rejections = [
-        Rejection(first_line + i, f"expected {header_len} fields, got {lengths[i]}")
+        Rejection(int(lines[i]), f"expected {len(REQUIRED_COLUMNS)} fields, got {lengths[i]}")
         for i in np.flatnonzero(~whole & (lengths > 0)).tolist()
     ]
     full = list(compress(rows, whole))
-    lines = first_line + np.flatnonzero(whole)
+    lines = lines[whole]
 
     stamps = list(map(str.strip, map(itemgetter(idx["timestamp"]), full)))
-    seconds, ts_ok = _canonical_seconds(stamps)
+    seconds = np.zeros(len(stamps), dtype=np.int64)
+    ts_ok = np.zeros(len(stamps), dtype=bool)
+    at = np.flatnonzero(np.fromiter(map(len, stamps), np.intp, len(stamps)) == _STAMP_BYTES)
+    # One byte per character: a non-ASCII character becomes "?", which
+    # fails the shape check.
+    raw = "".join([stamps[i] for i in at]).encode("ascii", "replace")
+    seconds[at], ts_ok[at] = _canonical_seconds(np.frombuffer(raw, dtype=np.uint8).reshape(-1, _STAMP_BYTES))
     ts_error: dict[int, str] = {}
     for i in np.flatnonzero(~ts_ok).tolist():
         try:
@@ -265,11 +297,115 @@ def _parse_chunk(rows: list[list[str]], first_line: int, header_len: int, idx: d
 
     of_row = of_row[keep]
     codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, locations)]
-    return [seconds[keep], *codes, value[keep]], rejections
+    return [seconds[keep], *codes, value[keep]], rejections, lines[keep]
 
 
-def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
+def _event_fields(rest: bytes, idx: dict[str, int]) -> tuple | None:
+    """The stripped (household, sensor, kind, location, value) of a row's
+    bytes after its timestamp and comma, when they are printable ASCII, the
+    right number of fields and pass every check; else None. Such bytes
+    csv.reader splits at their commas alone (before Python 3.11 it rejects
+    a line with a NUL), and `_parse_chunk` strips them with the same
+    `str.strip`."""
+    if rest.count(b",") != len(_FIELD_COLUMNS) - 1 or not rest.isascii():
+        return None
+    text = rest.decode("ascii")
+    if not text.isprintable():
+        return None
+    fields = text.split(",")
+    household, sensor, kind, location, value = (fields[idx[c] - 1].strip() for c in _FIELD_COLUMNS)
+    if kind in SENSOR_KINDS and value in _BINARY and location:
+        return household, sensor, kind, location, _BINARY[value]
+    return None
+
+
+def _parse_block(block: bytes, line: int, idx: dict[str, int],
+                 vocab: dict[str, int]) -> tuple[list[np.ndarray], list[Rejection], int]:
+    """The event columns, the rejections and the line count of a block of
+    whole lines, the first on input line `line`, that holds no quote and no
+    carriage return, under a header whose first column is the timestamp.
+
+    A canonical row, whose timestamp has the canonical shape and whose
+    other fields are printable ASCII and pass every check, is parsed from
+    its bytes: its timestamp on an array, its other fields split, stripped,
+    checked and coded once per distinct remainder. Every other row goes
+    through csv.reader and `_parse_chunk`, and the two merge in line order."""
+    lines = block.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    n = len(lines)
+    lengths = np.fromiter(map(len, lines), np.intp, n)
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    raw = np.frombuffer(block, dtype=np.uint8)
+    head = raw[np.minimum(starts[:, None] + np.arange(_STAMP_BYTES + 1), len(raw) - 1)]
+    seconds, fast = _canonical_seconds(head[:, :_STAMP_BYTES])
+    fast &= (head[:, _STAMP_BYTES] == ord(",")) & (lengths > _STAMP_BYTES) & (lengths <= csv.field_size_limit())
+
+    rests = list(map(_AFTER_STAMP, compress(lines, fast.tolist())))
+    distinct = {rest: i for i, rest in enumerate(dict.fromkeys(rests))}
+    of_row = np.fromiter(map(distinct.__getitem__, rests), np.intp, len(rests))
+    fields = [_event_fields(rest, idx) for rest in distinct]
+    good = np.array([f is not None for f in fields], dtype=bool)
+    at = np.flatnonzero(fast)
+    kept = good[of_row]
+    fast[at] = kept
+    at, of_row = at[kept], (np.cumsum(good) - 1)[of_row[kept]]
+    valid = [f for f in fields if f is not None]
+    household, sensor, kinds, locations, values = zip(*valid) if valid else [()] * 5
+    codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, locations)]
+    columns = [seconds[at], *codes, np.array(values, dtype=np.int8)[of_row]]
+
+    slow = np.flatnonzero(~fast)
+    if not len(slow):
+        return columns, [], n
+    texts = [lines[i].decode("utf-8") for i in slow.tolist()]
+    slow_lines = line + slow
+    rows = _read(csv.reader(texts), len(texts), slow_lines)
+    slow_columns, rejections, slow_kept = _parse_chunk(rows, slow_lines, idx, vocab)
+    order = np.argsort(np.concatenate([line + at, slow_kept]), kind="stable")
+    return [np.concatenate(pair)[order] for pair in zip(columns, slow_columns)], rejections, n
+
+
+def _byte_stream(stream) -> tuple[BinaryIO, str | None]:
+    """`stream` as a binary stream, plus the `newline` with which its
+    csv.reader fallback decodes it: bytes are read as a text-mode file
+    reads them, and text ends its lines at "\\n" only, as io.StringIO does."""
+    if isinstance(stream, bytes):
+        return io.BytesIO(stream), None
+    if not isinstance(stream, str):
+        if not isinstance(stream.read(0), str):
+            return stream, None
+        stream = stream.read()
+    return io.BytesIO(stream.encode("utf-8")), "\n"
+
+
+def _blocks(data: BinaryIO) -> Iterator[bytes]:
+    """The rest of `data` in blocks of whole lines, each of about
+    CHUNK_BYTES; the last line may lack its newline."""
+    while block := data.read(CHUNK_BYTES):
+        if not block.endswith(b"\n"):
+            block += data.readline()
+        yield block
+
+
+def _decoded(chunk: bytes, newline: str | None) -> io.TextIOWrapper:
+    """The text lines of `chunk`, a run of whole lines."""
+    return io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline=newline)
+
+
+def _framed(chunk: bytes) -> bool:
+    """Whether `chunk` holds a quote or a carriage return, whose framing
+    only csv.reader gets right."""
+    return b'"' in chunk or b"\r" in chunk
+
+
+def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, list[Rejection]]:
     """Parse a sensor-log CSV into time-ordered events plus a rejection report.
+
+    `stream` is bytes, a binary stream, a str or a text stream; text is
+    read whole and encoded to UTF-8. Bytes are read as UTF-8 with
+    universal newlines, as a text-mode file reads them; text ends its
+    lines at "\\n" only. Non-UTF-8 bytes raise UnicodeDecodeError.
 
     Returns events sorted ascending by timestamp (stable, so equal
     timestamps keep input order). Every data row lands either in the
@@ -279,27 +415,12 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     carries an unknown or a repeated one, or if the file is not
     well-formed CSV.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+    data, newline = _byte_stream(stream)
     # a UTF-8 byte-order mark, which csv and str.strip keep, is no part of the header
-    first = stream.readline().removeprefix("\ufeff")
-    reader = csv.reader(chain([first] if first else [], stream))
-    header = _read(reader, 1)
-    if not header:
-        raise SchemaError("empty input: missing header row")
-    header = [h.strip() for h in header[0]]
-    for col in REQUIRED_COLUMNS:
-        if col not in header:
-            raise SchemaError(f"missing required column: {col}")
-    for col in header:
-        if col not in REQUIRED_COLUMNS:
-            raise SchemaError(f"unknown column: {col}")
-    if len(header) > len(REQUIRED_COLUMNS):
-        # every column is known, so one repeats within the first len + 1
-        duplicate = next(col for i, col in enumerate(header) if col in header[:i])
-        raise SchemaError(f"duplicate column: {duplicate}")
-    idx = {col: header.index(col) for col in REQUIRED_COLUMNS}
-
+    first = data.readline().removeprefix(_BOM)
+    # The rest of the input as text, for the rows that csv.reader frames.
+    # It is detached at the end, so that `data` is left open.
+    rest = io.TextIOWrapper(data, encoding="utf-8", newline=newline)
     vocab: dict[str, int] = {}
     chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
@@ -309,12 +430,28 @@ def parse_events(stream: TextIO | str) -> tuple[EventTable, list[Rejection]]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        while rows := _read(reader, CHUNK_ROWS):
-            columns, rejected = _parse_chunk(rows, line, len(header), idx, vocab)
+        reader, reader_lines = csv.reader(chain(_decoded(first, newline), rest)), range(1, sys.maxsize)
+        idx = _header(reader, reader_lines)
+        if idx["timestamp"] == 0 and not _framed(first):
+            for block in _blocks(data):
+                if _framed(block):
+                    reader = csv.reader(chain(_decoded(block, newline), rest))
+                    reader_lines = range(line, sys.maxsize)
+                    break
+                columns, rejected, n = _parse_block(block, line, idx, vocab)
+                chunks.append(columns)
+                rejections.extend(rejected)
+                line += n
+        # csv.reader reads the rows from the first framed block on, or all of
+        # them under a header that does not start with the timestamp; after
+        # the last block, the header's reader finds the end of the input.
+        while rows := _read(reader, max(1, CHUNK_BYTES // _ROW_BYTES), reader_lines):
+            columns, rejected, _ = _parse_chunk(rows, np.arange(line, line + len(rows)), idx, vocab)
             chunks.append(columns)
             rejections.extend(rejected)
             line += len(rows)
     finally:
+        rest.detach()
         if collecting:
             gc.enable()
     columns = [np.concatenate(parts) for parts in zip(*chunks)] or [[]] * 6

@@ -97,7 +97,7 @@ def _utf8_error(path, exc: UnicodeDecodeError) -> SchemaError:
 def _load_events(config: RunConfig):
     if config.input_path is not None:
         try:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+            with open(config.input_path, "rb") as fh:
                 return events_mod.parse_events(fh)
         except OSError as exc:
             raise SchemaError(f"unreadable input: {exc}") from exc

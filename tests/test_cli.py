@@ -285,6 +285,32 @@ def test_malformed_csv_framing_is_an_input_error(tmp_path, capsys):
     assert "input error: line 3: malformed CSV: field larger than field limit" in capsys.readouterr().err
 
 
+def test_unquoted_oversized_field_is_an_input_error(tmp_path, capsys):
+    csv_path = tmp_path / "input.csv"
+    csv_path.write_text(
+        "timestamp,household_id,sensor_id,sensor_kind,location,value\n"
+        "2024-03-01T08:00:00,h1,s1,motion,kitchen,1\n"
+        f"2024-03-01T08:01:00,h1,s1,motion,{'x' * 200_000},1\n"
+    )
+    assert run_cli("run", "--input", csv_path, "--out", tmp_path / "out") == 2
+    assert "input error: line 3: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
+
+def test_line_endings_give_identical_artifacts(tmp_path, profile_path):
+    gen = tmp_path / "gen"
+    run_cli("generate", "--profile", profile_path, "--out", gen)
+    lf = (gen / "trace.csv").read_bytes()
+    assert b"\r" not in lf
+    trees = []
+    for name, ending in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_bytes(lf.replace(b"\n", ending))
+        out = tmp_path / f"out-{name}"
+        assert run_cli("run", "--input", csv_path, "--out", out) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] and trees[0] == trees[1] == trees[2]
+
+
 def test_non_utf8_input_names_its_line(tmp_path, capsys):
     lines = events_to_csv(generate_trace(default_profile(days=60))).encode().splitlines(keepends=True)
     lines[3000] = lines[3000][:20] + b"\xff" + lines[3000][21:]

@@ -2,7 +2,9 @@ import csv
 import gc
 import io
 import random
+from dataclasses import replace
 from datetime import datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,9 +376,30 @@ def test_batches_split_anywhere_match_reference(monkeypatch):
         else:
             lines.append(row(ts, hh=f"h{i % 3}", sensor=f"s{i}", loc=rng.choice(["kitchen", "bedroom"])))
     text = "".join(lines)
-    for chunk_rows in (1, 2, 7, 64, 1000):
-        monkeypatch.setattr(events_mod, "CHUNK_ROWS", chunk_rows)
+    for chunk_bytes in (1, 7, 64, 4096, events_mod.CHUNK_BYTES):
+        monkeypatch.setattr(events_mod, "CHUNK_BYTES", chunk_bytes)
         assert_parses_like_reference(text)
+        assert parse_events("\ufeff" + text) == parse_events(text.encode())
+
+
+def test_rows_that_only_look_canonical_match_reference():
+    # a timestamp glued to the next field, a timestamp-shaped household
+    # under a header that does not start with the timestamp
+    assert_parses_like_reference(HEADER + "2024-03-01T08:00:00Xh1,s1,motion,kitchen,1\n" + row("2024-03-01T09:00:00"))
+    header = "household_id,timestamp,sensor_id,sensor_kind,location,value\n"
+    assert_parses_like_reference(header + "2024-03-01T08:00:00,2024-03-01T09:00:00,s1,motion,kitchen,1\n")
+
+
+def test_rows_of_both_paths_keep_input_order_on_equal_timestamps():
+    # padded and non-ASCII rows go through csv.reader, the others are read
+    # from their bytes; all tie on the same second within one block
+    text = HEADER + "".join(
+        row(f" {ts}" if i % 3 == 0 else ts, sensor=f"s{i}é" if i % 3 == 1 else f"s{i}")
+        for i, ts in enumerate(["2024-03-01T08:00:00"] * 6 + ["2024-03-01T07:00:00"] * 6)
+    )
+    events, _ = parse_events(text)
+    assert [e.sensor_id for e in events][:6] == ["s6", "s7é", "s8", "s9", "s10é", "s11"]
+    assert_parses_like_reference(text)
 
 
 def test_oversized_field_is_a_schema_error_naming_the_line():
@@ -395,7 +418,8 @@ def test_parse_pauses_the_collector_and_restores_the_callers_state(monkeypatch, 
         return real_parse_chunk(*args)
 
     monkeypatch.setattr(events_mod, "_parse_chunk", recording_parse_chunk)
-    good = HEADER + row("2024-03-01T08:00:00") + row("2024-03-01T09:00:00")
+    # the padded timestamp sends one row through csv.reader and `_parse_chunk`
+    good = HEADER + row("2024-03-01T08:00:00") + row(" 2024-03-01T09:00:00")
     bad = good + row("2024-03-01T10:00:00", loc='"' + "x" * 200_000 + '"')
     was = gc.isenabled()
     try:
@@ -482,3 +506,77 @@ def test_equal_timestamps_keep_input_order_property(rows):
     events, _ = parse_events(text)
     assert [e.sensor_id for e in events] == [name for _, name in sorted(rows, key=lambda r: r[0])]
     assert_parses_like_reference(text)
+
+
+# Each row of `test_mixed_rows_match_reference_property` is a canonical row
+# or one of these variants, which the byte-level path must leave to csv.reader.
+_VARIANTS = {
+    "non-ASCII": ("location", lambda v: v + "é"),
+    "non-ASCII space": ("household_id", lambda v: "\u00a0" + v),
+    "control": ("sensor_id", lambda v: v + "\x1c"),
+    "delete": ("sensor_id", lambda v: v + "\x7f"),
+    "NUL": ("location", lambda v: v + "\x00"),
+    "tab": ("household_id", lambda v: "\t" + v),
+    "padded timestamp": ("timestamp", lambda v: f" {v}"),
+    "bad timestamp": ("timestamp", lambda v: v.replace("T", " ")),
+    "bad kind": ("sensor_kind", lambda v: "pressure"),
+    "bad value": ("value", lambda v: "2"),
+    "blank location": ("location", lambda v: " "),
+    # a quote sends the rest of the input to csv.reader
+    "quoted": ("location", lambda v: f'"{v}"'),
+    "quoted comma": ("household_id", lambda v: f'"{v},x"'),
+    "quoted newline": ("sensor_id", lambda v: f'"{v}\nx"'),
+}
+_UNQUOTED_ROWS = ["canonical"] * 6 + ["blank", "short", "long"] + [k for k in _VARIANTS if "quoted" not in k]
+
+
+def _mixed_rows(kinds, endings):
+    # three distinct seconds, so rows of both paths tie and must keep their order
+    tied = _events.map(lambda e: replace(e, timestamp=datetime(2024, 3, 1, 8, 0, e.timestamp.second % 3)))
+    return st.lists(st.tuples(tied, st.sampled_from(kinds), st.sampled_from(endings)), max_size=30)
+
+
+def _mixed_line(event, kind, header):
+    if kind == "blank":
+        return ""
+    fields = {"timestamp": event.timestamp.isoformat(), "household_id": event.household_id,
+              "sensor_id": event.sensor_id, "sensor_kind": event.sensor_kind,
+              "location": event.location, "value": str(event.value)}
+    if kind in _VARIANTS:
+        column, change = _VARIANTS[kind]
+        fields[column] = change(fields[column])
+    values = [fields[c] for c in header]
+    return ",".join(values[:-1] if kind == "short" else values + ["x"] if kind == "long" else values)
+
+
+def _outcome(parse, source):
+    try:
+        events, rejections = parse(source)
+    except (csv.Error, SchemaError) as exc:
+        assert isinstance(exc, csv.Error) or "malformed CSV" in str(exc)
+        return "malformed CSV"
+    return list(events), rejections
+
+
+@_PROPERTY_SETTINGS
+@given(
+    # either every row takes a path of its own, or a quote or CR sends the
+    # rest of the input to csv.reader
+    rows=st.one_of(_mixed_rows(_UNQUOTED_ROWS, ["\n"]), _mixed_rows([*_UNQUOTED_ROWS, *_VARIANTS], ["\n", "\r\n", "\r"])),
+    # a header that does not start with the timestamp sends every row to csv.reader
+    header=st.one_of(st.just(REQUIRED_COLUMNS), st.permutations(REQUIRED_COLUMNS)),
+    bom=st.booleans(),
+    final_newline=st.booleans(),
+    chunk_bytes=st.sampled_from([1, 7, 64, 4096, events_mod.CHUNK_BYTES]),
+)
+def test_mixed_rows_match_reference_property(rows, header, bom, final_newline, chunk_bytes):
+    text = ",".join(header) + "\n" + "".join(_mixed_line(e, kind, header) + end for e, kind, end in rows)
+    if rows and not final_newline:
+        text = text.rstrip("\r\n")
+    if bom:
+        text = "\ufeff" + text
+    data = text.encode()
+    with mock.patch.object(events_mod, "CHUNK_BYTES", chunk_bytes):
+        assert _outcome(parse_events, text) == _outcome(reference_parse_events, text.removeprefix("\ufeff"))
+        expected = _outcome(reference_parse_events, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"))
+        assert _outcome(parse_events, io.BytesIO(data)) == expected
