@@ -319,16 +319,18 @@ def _event_fields(rest: bytes, idx: dict[str, int]) -> tuple | None:
     return None
 
 
-def _parse_block(block: bytes, line: int, idx: dict[str, int],
-                 vocab: dict[str, int]) -> tuple[list[np.ndarray], list[Rejection], int]:
+def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, int],
+                 checked: dict[bytes, tuple | None]) -> tuple[list[np.ndarray], list[Rejection], int]:
     """The event columns, the rejections and the line count of a block of
     whole lines, the first on input line `line`, that holds no quote and no
     carriage return, under a header whose first column is the timestamp.
 
     A canonical row, whose timestamp has the canonical shape and whose
     other fields are printable ASCII and pass every check, is parsed from
-    its bytes: its timestamp on an array, its other fields split, stripped,
-    checked and coded once per distinct remainder. Every other row goes
+    its bytes: its timestamp on an array, its other fields coded once per
+    distinct remainder in the block. `checked` maps each remainder already
+    split, stripped and checked by `_event_fields` to its result, and
+    carries those results from block to block. Every other row goes
     through csv.reader and `_parse_chunk`, and the two merge in line order."""
     lines = block.split(b"\n")
     if not lines[-1]:
@@ -344,7 +346,9 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int],
     rests = list(map(_AFTER_STAMP, compress(lines, fast.tolist())))
     distinct = {rest: i for i, rest in enumerate(dict.fromkeys(rests))}
     of_row = np.fromiter(map(distinct.__getitem__, rests), np.intp, len(rests))
-    fields = [_event_fields(rest, idx) for rest in distinct]
+    for rest in distinct.keys() - checked.keys():
+        checked[rest] = _event_fields(rest, idx)
+    fields = [checked[rest] for rest in distinct]
     good = np.array([f is not None for f in fields], dtype=bool)
     at = np.flatnonzero(fast)
     kept = good[of_row]
@@ -425,6 +429,7 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
     line = 2
+    checked: dict[bytes, tuple | None] = {}
     # The row lists of a batch hold only strings, so they form no cycles;
     # left on, the cyclic collector would scan them again and again.
     collecting = gc.isenabled()
@@ -438,7 +443,7 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
                     reader = csv.reader(chain(_decoded(block, newline), rest))
                     reader_lines = range(line, sys.maxsize)
                     break
-                columns, rejected, n = _parse_block(block, line, idx, vocab)
+                columns, rejected, n = _parse_block(block, line, idx, vocab, checked)
                 chunks.append(columns)
                 rejections.extend(rejected)
                 line += n

@@ -7,17 +7,18 @@ computed in log-space, and every M-step floors covariance diagonals to
 keep components non-singular.
 
 EM for several starts runs in lockstep (`gmm_fits`): the components
-of all live fits are stacked along one component axis, so each E-step
-and M-step makes one set of numpy calls for every fit at once. Fits
-join the stack in order while it holds at most STACK_CELLS components x
-points and leave it after their final E-step. Every fit keeps its own
-iteration count and stopping test, and equals a lone fit bit for bit;
-`gmm_fit` is the lockstep of one g.
+of every start are stacked along one component axis from the first
+E-step, so each E-step and M-step makes one set of numpy calls for all
+live fits at once, and a fit leaves the stack after its final E-step.
+The stack's arrays are allocated once per call and reused by every
+step, so its memory scales with the sum of g x N: about 3 MB for a
+g = 2..10 sweep of a year of episodes (N ~ 1,300, D = 2), about 11 MB at
+four years. Every fit keeps its own iteration count and stopping test,
+and equals a lone fit bit for bit; `gmm_fit` is the lockstep of one g.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -30,12 +31,6 @@ from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array, _centred
 MAX_ITER = 200
 TOL = 1e-6
 VARIANCE_FLOOR = 1e-6
-
-# Components x points one lockstep stack may hold. A small household's
-# whole g = 2..10 sweep (54 components of ~200 points) fits in one stack;
-# at a year of episodes (~1,300 points) a stack stays about the size of
-# one g = 10 fit, so the sweep's peak memory stays where a lone fit puts it.
-STACK_CELLS = 2**14
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -77,10 +72,10 @@ class GmmModel:
     seed: int = 0
 
 
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, rounded exactly as ``np.sum`` rounds a sum of that
-    many terms along a contiguous axis, but fast when each term is a long
-    row.
+def _sum_terms(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over axis 0 (into `out` when given), rounded exactly as
+    ``np.sum`` rounds a sum of that many terms along a contiguous axis,
+    but fast when each term is a long row.
 
     Along a contiguous axis numpy adds fewer than 8 terms in sequence. Up
     to 128 terms it keeps 8 running sums, each over every 8th term, adds
@@ -91,15 +86,15 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
     """
     n = len(terms)
     if n < 8:
-        return terms.sum(axis=0)
+        return terms.sum(axis=0, out=out)
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _sum_terms(terms[:half]) + _sum_terms(terms[half:])
+        return np.add(_sum_terms(terms[:half]), _sum_terms(terms[half:]), out=out)
     rest = n - n % 8
     p = terms[:8].copy()  # the 8 running sums
     for i in range(8, rest, 8):
         p += terms[i : i + 8]
-    total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    total = np.add((p[0] + p[1]) + (p[2] + p[3]), (p[4] + p[5]) + (p[6] + p[7]), out=out)
     for term in terms[rest:]:
         total += term
     return total
@@ -123,41 +118,56 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
 #   entries by about 1e-16.
 # - In a lockstep stack, what works on each component alone (Cholesky,
 #   inverse, the batched products, elementwise work) runs once over the
-#   stack. Sums over a fit's g components run per fit, and so do nk and
-#   `resp.T @ data`, on the fit's own C-contiguous (N, g) resp: BLAS
-#   takes a g = 1 fit's one row through another routine, and rounds each
-#   row of a D = 1 product by its place among the product's rows.
-def _log_weighted_densities(diff_t: np.ndarray, weights: np.ndarray, covariances: np.ndarray) -> np.ndarray:
+#   stack, and so does nk: a sum down the columns of a C-contiguous
+#   (N, C) array adds each column in sequence whatever C is, so one copy
+#   of the whole stack's resp gives every fit's nk. Sums over a fit's g
+#   components run per fit, and so does `resp.T @ data`, on the fit's
+#   column slice of that copy. A g = 1 fit and D = 1 data take nk and the
+#   product from the fit's own C-contiguous (N, g) copy instead, as the
+#   reference does: numpy sums a g = 1 fit's one contiguous column
+#   pairwise, not in sequence, and BLAS takes its one row through another
+#   routine; a D = 1 product is a matrix-vector product, and on a column
+#   slice it rounds some rows differently.
+# - Buffers given through `out=` arguments hold the same C-contiguous
+#   layouts as the arrays they stand for, so they change no bit.
+def _log_weighted_densities(diff_t: np.ndarray, weights: np.ndarray, covariances: np.ndarray,
+                            out: np.ndarray | None = None, z: np.ndarray | None = None) -> np.ndarray:
     """log(pi_k * F(x_n, theta_k)) for every component and point, shape
     (g, N), from the centred points diff_t[k] = (x - mean_k).T, shape
     (g, D, N) (a transposed view will do), via batched Cholesky
-    factorizations."""
+    factorizations. `out`, shape (g, N), and `z`, shape (g, D, N), are
+    optional buffers for the result and the whitened points."""
     d = diff_t.shape[1]
     chol = np.linalg.cholesky(covariances)  # (g, D, D)
     chol_inv = np.linalg.inv(chol)
     log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)  # (g,)
-    z = chol_inv @ diff_t  # (g, D, N)
+    z = np.matmul(chol_inv, diff_t, out=z)  # (g, D, N)
     z *= z
-    out = _sum_terms(z.transpose(1, 0, 2))  # (g, N) Mahalanobis terms
+    out = _sum_terms(z.transpose(1, 0, 2), out=out)  # (g, N) Mahalanobis terms
     out += (d * _LOG_2PI + log_det)[:, None]
     out *= -0.5
-    with np.errstate(divide="ignore"):
+    if (weights > 0.0).all():
         out += np.log(weights)[:, None]
-    out[weights == 0.0] = -np.inf
+    else:
+        with np.errstate(divide="ignore"):
+            out += np.log(weights)[:, None]
+        out[weights == 0.0] = -np.inf
     return out
 
 
-def _logsumexp(a: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+def _logsumexp(a: np.ndarray, spans: Sequence[tuple[int, int]], terms: np.ndarray | None = None) -> np.ndarray:
     """log of the sum of exp(a) over each fit's components: row i of the
     (F, N) result sums rows spans[i] of the stacked (C, N) array a. The
     maximum, the shift, the sum and its log are taken per fit, because the
     sum's rounding depends on the fit's g; the rest runs once over the
-    stack, so a lone fit makes the calls of a plain logsumexp."""
+    stack, so a lone fit makes the calls of a plain logsumexp. `terms`,
+    shape (C, N), is an optional buffer for the shifted exponentials."""
     m = np.empty((len(spans), a.shape[1]))
     for i, (lo, hi) in enumerate(spans):
         a[lo:hi].max(axis=0, out=m[i])
     m = np.where(np.isfinite(m), m, 0.0)
-    terms = np.empty(a.shape)
+    if terms is None:
+        terms = np.empty(a.shape)
     for i, (lo, hi) in enumerate(spans):
         np.subtract(a[lo:hi], m[i], out=terms[lo:hi])
     np.exp(terms, out=terms)
@@ -232,11 +242,12 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
     lockstep; model i has g = starts[i].k and seed = starts[i].seed, and
     equals bit for bit a lone fit from that start.
 
-    The live fits' components are stacked into one (C, N) state, so each
-    E-step and M-step makes one set of numpy calls for all of them. Fits
-    join the stack in the order of `starts` while it holds at most
-    STACK_CELLS components x points (at least one fit always runs), and a
-    fit leaves after its final E-step, making room for the next.
+    The components of every start are stacked into one (C, N) state from
+    the first E-step, so each E-step and M-step makes one set of numpy
+    calls for all live fits; a fit leaves after its final E-step. The
+    stack's centred points, log densities and one scratch array are
+    allocated once, at C = the sum of every g, and each step works in
+    their first C rows.
 
     Each fit stops when its relative log-likelihood improvement drops
     below TOL or after MAX_ITER iterations. Hard labels are the per-point
@@ -251,32 +262,31 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
     for km in starts:
         if len(km.labels) != n:
             raise ValueError(f"K-Means model of {len(km.labels)} rows does not match {n} rows")
+    if not starts:
+        return []
 
     data_t = np.ascontiguousarray(data.T)
     floor = VARIANCE_FLOOR * np.eye(d)
-    waiting = deque(_Fit(i, km.k, done=False) for i, km in enumerate(starts))
-    live: list[_Fit] = []
+    live = [_Fit(i, km.k, done=False) for i, km in enumerate(starts)]
+    spans = _spans(live)
     models: list[GmmModel] = [None] * len(starts)  # type: ignore[list-item]
     error: FitError | None = None
-    weights, means, covariances = np.empty(0), np.empty((0, d)), np.empty((0, d, d))
-    while live or waiting:
-        cells = sum(fit.g for fit in live) * n if waiting else 0
-        joined = []
-        while waiting and (cells == 0 or cells + waiting[0].g * n <= STACK_CELLS):
-            fit = waiting.popleft()
-            joined.append(_init_from_kmeans(data, starts[fit.order]))
-            live.append(fit)
-            cells += fit.g * n
-        if joined:
-            weights = np.concatenate([weights, *(p.weights for p in joined)])
-            means = np.concatenate([means, *(p.means for p in joined)])
-            covariances = np.concatenate([covariances, *(p.covariances for p in joined)])
-            diff = _centred(data_t, means)
-            spans = _spans(live)
-
+    init = [_init_from_kmeans(data, km) for km in starts]
+    weights = np.concatenate([p.weights for p in init])
+    means = np.concatenate([p.means for p in init])
+    covariances = np.concatenate([p.covariances for p in init])
+    c = len(weights)
+    centred = np.empty((c, n, d))
+    log_densities = np.empty((c, n))
+    # z of the E-step, the logsumexp terms, the (N, C) resp and `weighted`
+    # of the M-step, one after another
+    scratch = np.empty(c * n * d)
+    diff = _centred(data_t, means, out=centred)
+    while live:
         # E-step; a fit that is done takes its final one and leaves
-        log_wd = _log_weighted_densities(diff.transpose(0, 2, 1), weights, covariances)
-        log_norm = _logsumexp(log_wd, spans)
+        log_wd = _log_weighted_densities(diff.transpose(0, 2, 1), weights, covariances,
+                                         out=log_densities[:c], z=scratch[: c * d * n].reshape(c, d, n))
+        log_norm = _logsumexp(log_wd, spans, terms=scratch[: c * n].reshape(c, n))
         finite = np.isfinite(log_norm).all(axis=1).tolist()
         lls = log_norm.sum(axis=1).tolist()
         keep = []
@@ -285,7 +295,6 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
             if not finite[i]:
                 # every later fit is moot: this error or an earlier fit's is raised
                 error = FitError(f"numerical collapse at iteration {fit.iterations}")
-                waiting.clear()
                 break
             fit.ll_trace.append(lls[i])
             resp_t = log_wd[lo:hi]
@@ -303,36 +312,53 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
             else:
                 keep.append(i)
         if len(keep) < len(live):
-            rows = np.concatenate([np.arange(*spans[i]) for i in keep]) if keep else np.arange(0)
+            if not keep:
+                break
+            # the fits that go on move their rows to the front, in order
+            rows = np.concatenate([np.arange(*spans[i]) for i in keep])
+            top = 0
+            for i in keep:
+                lo, hi = spans[i]
+                log_densities[top : top + hi - lo] = log_densities[lo:hi]
+                top += hi - lo
             live = [live[i] for i in keep]
             spans = _spans(live)
-            log_wd, weights, means, covariances = log_wd[rows], weights[rows], means[rows], covariances[rows]
-            if not live:
-                continue
+            weights, means, covariances = weights[rows], means[rows], covariances[rows]
+            c = len(weights)
 
         # M-step over the fits that go on
-        resp_t = log_wd
+        resp_t = log_densities[:c]
         np.exp(resp_t, out=resp_t)
-        nk = np.empty(len(weights))
-        new_means = np.empty(means.shape)
+        nk = np.empty(c)
+        new_means = np.empty((c, d))
+        if d > 1:
+            resp = scratch[: n * c].reshape(n, c)
+            np.copyto(resp, resp_t.T)
+            resp.sum(axis=0, out=nk)
         for lo, hi in spans:
-            resp = np.ascontiguousarray(resp_t[lo:hi].T)  # (N, g)
-            resp.sum(axis=0, out=nk[lo:hi])
-            np.matmul(resp.T, data, out=new_means[lo:hi])
+            if d == 1 or hi - lo == 1:
+                fit_resp = np.ascontiguousarray(resp_t[lo:hi].T)  # (N, g)
+                fit_resp.sum(axis=0, out=nk[lo:hi])
+            else:
+                fit_resp = resp[:, lo:hi]
+            np.matmul(fit_resp.T, data, out=new_means[lo:hi])
         weights = nk / n
         alive = nk > 1e-12
-        nk_safe = np.where(alive, nk, 1.0)
+        every_alive = alive.all()
+        nk_safe = nk if every_alive else np.where(alive, nk, 1.0)
         new_means /= nk_safe[:, None]
-        # dead components keep their previous parameters at weight ~0
-        new_means[~alive] = means[~alive]
+        if not every_alive:
+            # dead components keep their previous parameters at weight ~0
+            new_means[~alive] = means[~alive]
         means = new_means
-        diff = _centred(data_t, means)
-        weighted = np.empty(diff.shape)  # weighted[k] = resp[:, k, None] * diff[k]
+        diff = _centred(data_t, means, out=centred[:c])
+        weighted = scratch[: c * n * d].reshape(c, n, d)  # weighted[k] = resp[:, k, None] * diff[k]
         for j in range(d):
             np.multiply(resp_t, diff[:, :, j], out=weighted[:, :, j])
         new_covariances = (weighted.transpose(0, 2, 1) @ diff) / nk_safe[:, None, None]
         new_covariances += floor
-        new_covariances[~alive] = covariances[~alive]
+        if not every_alive:
+            new_covariances[~alive] = covariances[~alive]
         covariances = new_covariances
 
         for fit, (lo, hi) in zip(live, spans):

@@ -45,12 +45,13 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def _centred(data_t: np.ndarray, centres: np.ndarray) -> np.ndarray:
+def _centred(data_t: np.ndarray, centres: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x - centre for every centre and point as a C-contiguous (k, N, D)
-    array, built one coordinate at a time from the (D, N) data: one long
-    pass per coordinate instead of N short ones."""
+    array (written into `out` when given), built one coordinate at a time
+    from the (D, N) data: one long pass per coordinate instead of N short
+    ones."""
     d, n = data_t.shape
-    diff = np.empty((len(centres), n, d))
+    diff = np.empty((len(centres), n, d)) if out is None else out
     for j in range(d):
         np.subtract(data_t[j], centres[:, j, None], out=diff[:, :, j])
     return diff

@@ -382,6 +382,30 @@ def test_batches_split_anywhere_match_reference(monkeypatch):
         assert parse_events("\ufeff" + text) == parse_events(text.encode())
 
 
+def test_each_distinct_remainder_is_checked_once_per_parse(monkeypatch):
+    # 400 rows over 7 distinct remainders, one of them rejected, read in
+    # blocks of about 256 bytes
+    real_event_fields, real_parse_block = events_mod._event_fields, events_mod._parse_block
+    checked, blocks = [], []
+
+    def counting_event_fields(rest, idx):
+        checked.append(rest)
+        return real_event_fields(rest, idx)
+
+    def counting_parse_block(*args):
+        blocks.append(args[1])
+        return real_parse_block(*args)
+
+    monkeypatch.setattr(events_mod, "_event_fields", counting_event_fields)
+    monkeypatch.setattr(events_mod, "_parse_block", counting_parse_block)
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 256)
+    fields = [dict(hh=f"h{i}", loc=loc) for i in range(3) for loc in ("kitchen", "bedroom")] + [dict(value="x")]
+    text = HEADER + "".join(row(f"2024-05-01T{i % 24:02d}:{i % 60:02d}:00", **fields[i % 7]) for i in range(400))
+    assert_parses_like_reference(text)
+    assert len(blocks) > 50
+    assert sorted(checked) == sorted(set(checked)) and len(checked) == 7
+
+
 def test_rows_that_only_look_canonical_match_reference():
     # a timestamp glued to the next field, a timestamp-shaped household
     # under a header that does not start with the timestamp

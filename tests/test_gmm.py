@@ -1,4 +1,4 @@
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mealclust import gmm
 from mealclust.episodes import segment_episodes
 from mealclust.events import filter_meal_locations
-from mealclust.features import FeatureMatrix, build_features, scale_features
+from mealclust.features import MODE_DURATION_ONLY, FeatureMatrix, build_features, scale_features
 from mealclust.gmm import (
     MAX_ITER,
     TOL,
@@ -215,38 +215,68 @@ def fleet_household():
 
 def test_fits_of_a_fleet_household_match_reference_in_one_stack(fleet_household):
     m, want = fleet_household
-    assert sum(SWEEP_GS) * len(m.data) <= gmm.STACK_CELLS  # every fit is live from the first step
     for g, got in zip(SWEEP_GS, gmm_fits(m, starts(m, SWEEP_GS, 3))):
         assert_same_fit(got, want[g])
 
 
-@pytest.mark.parametrize("cells", [1, 2_000, 10**9])
-def test_fits_match_reference_at_any_stack_size(fleet_household, monkeypatch, cells):
-    # one fit per stack; a few small fits per stack, joining as others
-    # leave; every fit in one stack
-    monkeypatch.setattr(gmm, "STACK_CELLS", cells)
+@pytest.fixture(scope="module")
+def default_household():
+    """The default profile's year of episodes (N = 1,303, raw features)
+    and the reference fit of each sweep g."""
+    m = profile_features(default_profile(days=365))
+    return m, {g: reference_gmm_fit(m.data, g, seed=0) for g in SWEEP_GS}
+
+
+def test_every_fit_is_in_the_first_e_step(default_household, monkeypatch):
     real_densities = gmm._log_weighted_densities
     stacked = []
 
-    def recording_densities(diff_t, weights, covariances):
+    def recording_densities(diff_t, weights, covariances, **buffers):
         stacked.append(len(weights))
-        return real_densities(diff_t, weights, covariances)
+        return real_densities(diff_t, weights, covariances, **buffers)
 
     monkeypatch.setattr(gmm, "_log_weighted_densities", recording_densities)
-    m, want = fleet_household
+    m, want = default_household
     gs = [7, 2, 10, 3, 9, 4, 5, 8, 6]
-    for g, got in zip(gs, gmm_fits(m, starts(m, gs, 3))):
+    for g, got in zip(gs, gmm_fits(m, starts(m, gs, 0))):
         assert_same_fit(got, want[g])
-    assert all(c * len(m.data) <= cells or c in gs for c in stacked)  # over the cap only alone
-    assert (max(stacked) == sum(gs)) == (cells == 10**9)
+    assert stacked[0] == sum(gs)
+    assert stacked == sorted(stacked, reverse=True)  # fits only leave
 
 
 @pytest.mark.parametrize("scaling", ["none", "zscore"])
-def test_fits_of_the_default_profile_match_reference_in_several_stacks(scaling):
-    m = profile_features(default_profile(days=365), scaling)
-    assert sum(SWEEP_GS) * len(m.data) > 2 * gmm.STACK_CELLS
+def test_fits_of_the_default_profile_match_reference_in_several_stacks(default_household, scaling):
+    m, want = default_household
+    if scaling == "zscore":
+        m = scale_features(m, scaling)
+        want = {g: reference_gmm_fit(m.data, g, seed=0) for g in SWEEP_GS}
+    for g, got in zip(SWEEP_GS, gmm_fits(m, starts(m, SWEEP_GS, 0))):
+        assert_same_fit(got, want[g])
+
+
+def test_duration_fits_of_the_default_profile_match_reference_in_one_stack():
+    # D = 1: each fit's nk and means come from its own (N, g) copy
+    events = generate_trace(default_profile(days=365))
+    m = build_features(segment_episodes(filter_meal_locations(events)), MODE_DURATION_ONLY)
+    assert m.d == 1
     for g, got in zip(SWEEP_GS, gmm_fits(m, starts(m, SWEEP_GS, 0))):
         assert_same_fit(got, reference_gmm_fit(m.data, g, seed=0))
+
+
+def test_a_default_profile_sweep_stays_within_its_memory(default_household):
+    # the stack's buffers at C = 54 components, N = 1,303, D = 2 take
+    # about 2.8 MB; a stack that allocated anew in every step, or kept a
+    # step's arrays alive into the next, would pass 4 MB
+    m, _ = default_household
+    assert len(m.data) == 1303
+    fit_starts = starts(m, SWEEP_GS, 0)
+    tracemalloc.start()
+    try:
+        gmm_fits(m, fit_starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0e6
 
 
 @st.composite
@@ -258,15 +288,14 @@ def _lockstep_inputs(draw):
     coords = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_subnormal=False))
     data = np.array(draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=n, max_size=n)))
     gs = draw(st.lists(st.integers(1, min(n, 8)), min_size=1, max_size=5))
-    return data, gs, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1, 60, 10**9]))
+    return data, gs, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_lockstep_inputs())
 def test_fits_match_reference_property(inputs):
-    data, gs, seed, cells = inputs
-    with mock.patch.object(gmm, "STACK_CELLS", cells):
-        models = gmm_fits(matrix(data), starts(data, gs, seed))
+    data, gs, seed = inputs
+    models = gmm_fits(matrix(data), starts(data, gs, seed))
     for g, got in zip(gs, models):
         assert_same_fit(got, reference_gmm_fit(data, g, seed))
 
@@ -277,8 +306,8 @@ def collapse_fits(monkeypatch, at):
     real_logsumexp = gmm._logsumexp
     seen = dict.fromkeys(at, 0)
 
-    def collapsing_logsumexp(a, spans):
-        out = real_logsumexp(a, spans)
+    def collapsing_logsumexp(a, spans, **buffers):
+        out = real_logsumexp(a, spans, **buffers)
         for i, (lo, hi) in enumerate(spans):
             if hi - lo in at:
                 seen[hi - lo] += 1
