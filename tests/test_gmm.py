@@ -244,6 +244,43 @@ def test_every_fit_is_in_the_first_e_step(default_household, monkeypatch):
     assert stacked == sorted(stacked, reverse=True)  # fits only leave
 
 
+@pytest.mark.parametrize("cells", [1, 2_000, 10**9])
+def test_fits_match_reference_at_any_stack_size(fleet_household, monkeypatch, cells):
+    # the fits are split into gmm_fits calls of at most `cells` stacked
+    # g x N cells (a larger fit goes alone): one fit per stack; a few
+    # small fits per stack; every fit in one stack. A fit must not depend
+    # on which other fits share its stack.
+    real_densities = gmm._log_weighted_densities
+    stacked = []
+
+    def recording_densities(diff_t, weights, covariances, **buffers):
+        stacked.append(len(weights))
+        return real_densities(diff_t, weights, covariances, **buffers)
+
+    monkeypatch.setattr(gmm, "_log_weighted_densities", recording_densities)
+    m, want = fleet_household
+    gs = [7, 2, 10, 3, 9, 4, 5, 8, 6]
+    groups = [[gs[0]]]
+    for g in gs[1:]:
+        if (sum(groups[-1]) + g) * len(m.data) <= cells:
+            groups[-1].append(g)
+        else:
+            groups.append([g])
+    firsts = []
+    for group in groups:
+        stacked.clear()
+        for g, got in zip(group, gmm_fits(m, starts(m, group, 3))):
+            assert_same_fit(got, want[g])
+        firsts.append(stacked[0])
+    assert firsts == [sum(group) for group in groups]
+    if cells == 1:
+        assert len(groups) == len(gs)
+    elif cells == 2_000:
+        assert any(len(group) > 1 for group in groups) and len(groups) > 1
+    else:
+        assert groups == [gs]
+
+
 @pytest.mark.parametrize("scaling", ["none", "zscore"])
 def test_fits_of_the_default_profile_match_reference_in_several_stacks(default_household, scaling):
     m, want = default_household
