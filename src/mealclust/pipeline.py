@@ -2,8 +2,11 @@
 three-algorithm DBI sweeps -> per-household reports on disk.
 
 Households are processed independently; a failure in one (no episodes,
-a GMM numerical collapse, all-undefined DBSCAN sweep) is reported but
-never aborts the others.
+a GMM numerical collapse, all-undefined DBSCAN sweep, a worker process
+that dies) is reported but never aborts the others. With more than one
+usable CPU and household, the households run in forked worker processes,
+one per CPU; the artifacts, messages and exit code are those of running
+them one after another.
 """
 
 from __future__ import annotations
@@ -177,6 +180,78 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
     return summary
 
 
+def _household_outcome(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> str | None:
+    """Run one household: None if it succeeded, else its one-line failure."""
+    try:
+        _process_household(household_id, hh_events, config, out_dir)
+    except (SweepError, FitError, ValueError) as exc:
+        return f"{household_id}: {exc}"
+    return None
+
+
+def _pool_size(n_households: int) -> int:
+    """Worker processes for `n_households`: one per usable CPU, at most one
+    per household. Fewer than 2 means the households run in this process."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cpus, n_households)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
+_DIED = object()  # the outcome of a household whose worker pool broke
+
+
+def _in_pool(jobs: list[tuple], workers: int) -> list:
+    """The `_household_outcome` of each job, from `workers` forked processes.
+
+    A job reads `_DIED` when a worker died before it finished, its own or
+    another: a broken pool fails every unfinished job. The pool is shut
+    down, its workers joined, before this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # The start method is explicit: Python 3.14 moves the Linux default
+    # away from fork, and spawn would re-import numpy in every worker.
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_household_outcome, *job) for job in jobs]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                outcomes.append(_DIED)
+        return outcomes
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_households(jobs: list[tuple]) -> list[str | None]:
+    """The `_household_outcome` of each job, in order.
+
+    Jobs run in this process when `_pool_size` gives one worker, else in a
+    pool. Each job whose pool broke runs again alone in a fresh worker, so
+    a worker that dies fails only its own household.
+    """
+    workers = _pool_size(len(jobs))
+    if workers < 2:
+        return [_household_outcome(*job) for job in jobs]
+    outcomes = _in_pool(jobs, workers)
+    for i, job in enumerate(jobs):
+        if outcomes[i] is _DIED:
+            [outcomes[i]] = _in_pool([job], 1)
+            if outcomes[i] is _DIED:
+                outcomes[i] = f"{job[0]}: worker process died"
+    return outcomes
+
+
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full pipeline, writing per-household artifact directories."""
     config.validate()
@@ -191,15 +266,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if not groups:
         return PipelineResult(exit_code=EXIT_PIPELINE_ERROR, failures=["no episodes"], households=[])
 
-    failures: list[str] = []
-    processed: list[str] = []
-    for household_id in sorted(groups):
-        try:
-            _process_household(household_id, groups[household_id], config, out_root / household_id)
-            processed.append(household_id)
-        except (SweepError, FitError, ValueError) as exc:
-            failures.append(f"{household_id}: {exc}")
-
+    household_ids = sorted(groups)
+    outcomes = _run_households([(hid, groups[hid], config, out_root / hid) for hid in household_ids])
+    failures = [outcome for outcome in outcomes if outcome is not None]
+    processed = [hid for hid, outcome in zip(household_ids, outcomes) if outcome is None]
     exit_code = EXIT_OK if not failures else EXIT_PIPELINE_ERROR
     return PipelineResult(exit_code=exit_code, failures=failures, households=processed)
 

@@ -1,7 +1,12 @@
+import concurrent.futures
 import dataclasses
 import inspect
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,7 @@ from mealclust.events import events_to_csv, parse_events
 from mealclust.gmm import FitError
 from mealclust.synth import default_profile, format_profile, generate_trace
 from mealclust.validation import SweepReport
+from test_golden import sha256_tree
 
 
 @pytest.fixture()
@@ -421,29 +427,148 @@ def test_household_id_must_be_a_plain_directory_name(tmp_path, household_id):
     assert not (tmp_path / "out").exists()
 
 
-def test_gmm_collapse_stays_in_its_household(tmp_path, profile_path, monkeypatch, capsys):
-    # house-0 is a copy of house-1 whose GMM sweep collapses; it is
-    # processed first, and house-1 must still get its full artifacts
+def copies_of_house_1(tmp_path, profile_path, *household_ids):
+    """A CSV holding the profile's house-1 trace once under each id, in order."""
     gen = tmp_path / "gen"
     run_cli("generate", "--profile", profile_path, "--out", gen)
     header, *rows = (gen / "trace.csv").read_text().splitlines()
-    copy = [row.replace(",house-1,", ",house-0,") for row in rows]
     merged = tmp_path / "merged.csv"
-    merged.write_text("\n".join([header, *copy, *rows]) + "\n")
+    copies = [row.replace(",house-1,", f",{household_id},") for household_id in household_ids for row in rows]
+    merged.write_text("\n".join([header, *copies]) + "\n")
+    return merged
 
+
+def collapse_gmm_of(monkeypatch, *household_ids):
     sweep_gmm = pipeline.sweep_gmm
 
     def collapsing_sweep_gmm(matrix, **kwargs):
-        if kwargs["household_id"] == "house-0":
+        if kwargs["household_id"] in household_ids:
             raise FitError("numerical collapse at iteration 3")
         return sweep_gmm(matrix, **kwargs)
 
     monkeypatch.setattr(pipeline, "sweep_gmm", collapsing_sweep_gmm)
+
+
+def test_gmm_collapse_stays_in_its_household(tmp_path, profile_path, monkeypatch, capsys):
+    # house-0 is a copy of house-1 whose GMM sweep collapses; it is
+    # processed first, and house-1 must still get its full artifacts
+    merged = copies_of_house_1(tmp_path, profile_path, "house-0", "house-1")
+    collapse_gmm_of(monkeypatch, "house-0")
     out = tmp_path / "out"
     assert run_cli("run", "--input", merged, "--out", out) == 3
     assert (out / "house-1" / "summary.json").exists()
     assert not (out / "house-0" / "summary.json").exists()
     assert "house-0: numerical collapse at iteration 3" in capsys.readouterr().err
+
+
+HOUSEHOLDS = ("house-0", "house-1", "house-2")
+FULL_ARTIFACTS = sorted([
+    "categories.csv", "dbscan_dbi.csv", "episodes.csv", "gmm_dbi.csv", "kmeans_dbi.csv",
+    "summary.json", "sweep_dbscan.json", "sweep_gmm.json", "sweep_kmeans.json",
+])
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pools need the fork start method"
+)
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def forbid_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+@needs_fork
+def test_pool_output_matches_the_serial_run(tmp_path, profile_path, monkeypatch, capsys):
+    merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+    collapse_gmm_of(monkeypatch, "house-0", "house-2")
+    capsys.readouterr()
+    runs = []
+    for cpus in (3, 1):
+        set_cpus(monkeypatch, cpus)
+        if cpus == 1:
+            forbid_pool(monkeypatch)
+        out = tmp_path / f"out-{cpus}"
+        code = run_cli("run", "--input", merged, "--out", out)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out.replace(str(out), "OUT"), captured.err, sha256_tree(out)))
+    assert runs[0] == runs[1]
+    code, stdout, stderr, tree = runs[0]
+    assert code == 3
+    assert stdout == "wrote OUT/house-1/summary.json\n"
+    assert stderr.splitlines() == [f"mealclust: pipeline error: {h}: numerical collapse at iteration 3"
+                                   for h in ("house-0", "house-2")]
+    assert sorted(tree) == sorted([f"house-1/{name}" for name in FULL_ARTIFACTS]
+                                  + ["house-0/episodes.csv", "house-2/episodes.csv"])
+
+
+@needs_fork
+def test_dead_worker_fails_only_its_household(tmp_path, profile_path, monkeypatch, capsys):
+    # the forked workers inherit the patch; the parent never runs a household
+    merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+    process_household = pipeline._process_household
+
+    def dying_process_household(household_id, *args):
+        if household_id == "house-1":
+            os._exit(9)
+        return process_household(household_id, *args)
+
+    monkeypatch.setattr(pipeline, "_process_household", dying_process_household)
+    set_cpus(monkeypatch, 3)
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", merged, "--out", out) == 3
+    assert capsys.readouterr().err == "mealclust: pipeline error: house-1: worker process died\n"
+    for household_id in ("house-0", "house-2"):
+        assert sorted(p.name for p in (out / household_id).iterdir()) == FULL_ARTIFACTS
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_no_worker_outlives_the_run(tmp_path, profile_path, monkeypatch):
+    merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+    set_cpus(monkeypatch, 3)
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "ok") == 0
+    assert multiprocessing.active_children() == []
+
+    # an error that is not a household's failure still aborts the run
+    process_household = pipeline._process_household
+
+    def broken_process_household(household_id, *args):
+        if household_id == "house-1":
+            raise RuntimeError("not a household failure")
+        return process_household(household_id, *args)
+
+    monkeypatch.setattr(pipeline, "_process_household", broken_process_household)
+    with pytest.raises(RuntimeError, match="not a household failure"):
+        run_cli("run", "--input", merged, "--out", tmp_path / "aborted")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("case", ["one household", "no fork", "no affinity, one CPU"])
+def test_households_run_in_process_without_a_pool(tmp_path, profile_path, monkeypatch, case):
+    forbid_pool(monkeypatch)
+    set_cpus(monkeypatch, 3)
+    if case == "one household":
+        merged = copies_of_house_1(tmp_path, profile_path, "house-1")
+    else:
+        merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+    if case == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    if case == "no affinity, one CPU":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "out") == 0
+
+
+def test_import_loads_no_pool_machinery():
+    code = "import sys, mealclust, mealclust.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_input_files_never_mutated(tmp_path, profile_path):
