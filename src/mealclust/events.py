@@ -48,7 +48,6 @@ _SECOND = timedelta(seconds=1)
 # block holds at _ROW_BYTES a row.
 CHUNK_BYTES = 256 * 1024
 _ROW_BYTES = 64
-_BOM = b"\xef\xbb\xbf"
 _BINARY = {"0": 0, "1": 1}
 # The fields of a row other than its timestamp, in `EventTable` order.
 _FIELD_COLUMNS = ("household_id", "sensor_id", "sensor_kind", "location", "value")
@@ -278,26 +277,29 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray, idx: dict[str, int],
     of_row = np.array([distinct.setdefault(f, len(distinct)) for f in map(fields, full)], dtype=np.intp)
     stripped = [[s.strip() for s in f] for f in distinct]
     household, sensor, kinds, locations, values = zip(*stripped) if stripped else [()] * 5
-    kind_ok = np.array([k in SENSOR_KINDS for k in kinds], dtype=bool)[of_row]
-    value = np.array([_BINARY.get(v, -1) for v in values], dtype=np.int8)[of_row]
-    location_ok = np.array([bool(loc) for loc in locations], dtype=bool)[of_row]
+    errors = [_field_error(*f[2:]) for f in stripped]
 
-    keep = ts_ok & kind_ok & (value >= 0) & location_ok
+    keep = ts_ok & np.array([e is None for e in errors], dtype=bool)[of_row]
     for i in np.flatnonzero(~keep).tolist():
-        if i in ts_error:
-            reason = ts_error[i]
-        elif not kind_ok[i]:
-            reason = f"unknown sensor_kind: {kinds[of_row[i]]!r}"
-        elif value[i] < 0:
-            reason = f"non-binary value: {values[of_row[i]]!r}"
-        else:
-            reason = "empty location"
-        rejections.append(Rejection(int(lines[i]), reason))
+        rejections.append(Rejection(int(lines[i]), ts_error.get(i) or errors[of_row[i]]))
     rejections.sort(key=lambda r: r.line)
 
     of_row = of_row[keep]
     codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, locations)]
-    return [seconds[keep], *codes, value[keep]], rejections, lines[keep]
+    value = np.array([_BINARY.get(v, 0) for v in values], dtype=np.int8)[of_row]
+    return [seconds[keep], *codes, value], rejections, lines[keep]
+
+
+def _field_error(kind: str, location: str, value: str) -> str | None:
+    """Why a row with these stripped fields is rejected, or None if it is
+    not: the first check it fails, in the order kind, value, location."""
+    if kind not in SENSOR_KINDS:
+        return f"unknown sensor_kind: {kind!r}"
+    if value not in _BINARY:
+        return f"non-binary value: {value!r}"
+    if not location:
+        return "empty location"
+    return None
 
 
 def _event_fields(rest: bytes, idx: dict[str, int]) -> tuple | None:
@@ -314,9 +316,7 @@ def _event_fields(rest: bytes, idx: dict[str, int]) -> tuple | None:
         return None
     fields = text.split(",")
     household, sensor, kind, location, value = (fields[idx[c] - 1].strip() for c in _FIELD_COLUMNS)
-    if kind in SENSOR_KINDS and value in _BINARY and location:
-        return household, sensor, kind, location, _BINARY[value]
-    return None
+    return None if _field_error(kind, location, value) else (household, sensor, kind, location, _BINARY[value])
 
 
 def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, int],
@@ -362,7 +362,12 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
     slow = np.flatnonzero(~fast)
     if not len(slow):
         return columns, [], n
-    texts = [lines[i].decode("utf-8") for i in slow.tolist()]
+    try:
+        texts = [lines[i].decode("utf-8") for i in slow.tolist()]
+    except UnicodeDecodeError:
+        # every fast row is ASCII, so the first bad slow row is the block's first bad line
+        _decode(block, line)
+        raise
     slow_lines = line + slow
     rows = _read(csv.reader(texts), len(texts), slow_lines)
     slow_columns, rejections, slow_kept = _parse_chunk(rows, slow_lines, idx, vocab)
@@ -384,17 +389,32 @@ def _byte_stream(stream) -> tuple[BinaryIO, str | None]:
 
 
 def _blocks(data: BinaryIO) -> Iterator[bytes]:
-    """The rest of `data` in blocks of whole lines, each of about
-    CHUNK_BYTES; the last line may lack its newline."""
+    """`data` in runs of whole lines: its first line, then blocks of about
+    CHUNK_BYTES each; the last line may lack its newline."""
+    yield data.readline()
     while block := data.read(CHUNK_BYTES):
         if not block.endswith(b"\n"):
             block += data.readline()
         yield block
 
 
-def _decoded(chunk: bytes, newline: str | None) -> io.TextIOWrapper:
-    """The text lines of `chunk`, a run of whole lines."""
-    return io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline=newline)
+def _decode(run: bytes, line: int) -> str:
+    """`run`, whole lines from input line `line` on, decoded from UTF-8; a
+    byte that is not valid UTF-8 is a SchemaError naming its line."""
+    try:
+        return run.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        *above, head = run[: exc.start].split(b"\n")
+        raise SchemaError(f"line {line + len(above)}: not valid UTF-8: "
+                          f"byte 0x{run[exc.start]:02x} at offset {len(head)} of the line") from None
+
+
+def _texts(runs: Iterable[bytes], line: int, newline: str | None) -> Iterator[io.StringIO]:
+    """Each of `runs`, runs of whole lines from input line `line` on, decoded
+    when it is reached, as a text stream splitting lines as `newline` says."""
+    for run in runs:
+        yield io.StringIO(_decode(run, line), newline=newline)
+        line += run.count(b"\n")
 
 
 def _framed(chunk: bytes) -> bool:
@@ -409,38 +429,40 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     `stream` is bytes, a binary stream, a str or a text stream; text is
     read whole and encoded to UTF-8. Bytes are read as UTF-8 with
     universal newlines, as a text-mode file reads them; text ends its
-    lines at "\\n" only. Non-UTF-8 bytes raise UnicodeDecodeError.
+    lines at "\\n" only. A caller's stream is read, never closed.
 
     Returns events sorted ascending by timestamp (stable, so equal
     timestamps keep input order). Every data row lands either in the
     event table or in the rejection report, which is in line order.
 
     Raises SchemaError if the header is missing a required column or
-    carries an unknown or a repeated one, or if the file is not
-    well-formed CSV.
+    carries an unknown or a repeated one, if the file is not well-formed
+    CSV, or at its first line that is not valid UTF-8, naming that line
+    and the offset of the bad byte in it.
     """
     data, newline = _byte_stream(stream)
+    blocks = _blocks(data)
+    first = next(blocks)
     # a UTF-8 byte-order mark, which csv and str.strip keep, is no part of the header
-    first = data.readline().removeprefix(_BOM)
-    # The rest of the input as text, for the rows that csv.reader frames.
-    # It is detached at the end, so that `data` is left open.
-    rest = io.TextIOWrapper(data, encoding="utf-8", newline=newline)
+    header = io.StringIO(_decode(first, 1).removeprefix("\ufeff"), newline=newline)
     vocab: dict[str, int] = {}
     chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
-    line = 2
+    line = 2  # the blocks start after the first line
     checked: dict[bytes, tuple | None] = {}
     # The row lists of a batch hold only strings, so they form no cycles;
     # left on, the cyclic collector would scan them again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        reader, reader_lines = csv.reader(chain(_decoded(first, newline), rest)), range(1, sys.maxsize)
+        # after the header, this reader reads only the blocks that the byte path leaves
+        texts = chain([header], _texts(blocks, line, newline))
+        reader, reader_lines = csv.reader(chain.from_iterable(texts)), range(1, sys.maxsize)
         idx = _header(reader, reader_lines)
         if idx["timestamp"] == 0 and not _framed(first):
-            for block in _blocks(data):
+            for block in blocks:
                 if _framed(block):
-                    reader = csv.reader(chain(_decoded(block, newline), rest))
+                    reader = csv.reader(chain.from_iterable(_texts(chain([block], blocks), line, newline)))
                     reader_lines = range(line, sys.maxsize)
                     break
                 columns, rejected, n = _parse_block(block, line, idx, vocab, checked)
@@ -456,7 +478,6 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
             rejections.extend(rejected)
             line += len(rows)
     finally:
-        rest.detach()
         if collecting:
             gc.enable()
     columns = [np.concatenate(parts) for parts in zip(*chunks)] or [[]] * 6

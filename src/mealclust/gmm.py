@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mealclust.features import FeatureMatrix
+from mealclust.features import SCALING_ZSCORE, FeatureMatrix
 from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array, _centred
 
 MAX_ITER = 200
@@ -258,7 +258,7 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
     data = _as_array(m)
     n, d = data.shape
     if n < 2:
-        raise ValueError("gmm_fit requires at least 2 points")
+        raise ValueError("gmm_fits requires at least 2 points")
     for km in starts:
         if len(km.labels) != n:
             raise ValueError(f"K-Means model of {len(km.labels)} rows does not match {n} rows")
@@ -316,11 +316,7 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
                 break
             # the fits that go on move their rows to the front, in order
             rows = np.concatenate([np.arange(*spans[i]) for i in keep])
-            top = 0
-            for i in keep:
-                lo, hi = spans[i]
-                log_densities[top : top + hi - lo] = log_densities[lo:hi]
-                top += hi - lo
+            log_densities[: len(rows)] = log_densities[rows]
             live = [live[i] for i in keep]
             spans = _spans(live)
             weights, means, covariances = weights[rows], means[rows], covariances[rows]
@@ -395,7 +391,7 @@ def category_summary(model: GmmModel, m: FeatureMatrix) -> list[CategoryRow]:
     if data.shape[0] != len(model.labels) or data.shape[1] != model.params.d:
         raise ValueError("feature matrix does not match the fitted model")
     mean_durations = model.params.means[:, 0].copy()
-    if isinstance(m, FeatureMatrix) and m.scaling == "zscore":
+    if isinstance(m, FeatureMatrix) and m.scaling == SCALING_ZSCORE:
         mean_durations = mean_durations * m.stds[0] + m.means[0]
     counts = np.bincount(model.labels, minlength=model.params.g)
     rows = [

@@ -2,11 +2,11 @@
 three-algorithm DBI sweeps -> per-household reports on disk.
 
 Households are processed independently; a failure in one (no episodes,
-a GMM numerical collapse, all-undefined DBSCAN sweep, a worker process
-that dies) is reported but never aborts the others. With more than one
-usable CPU and household, the households run in forked worker processes,
-one per CPU; the artifacts, messages and exit code are those of running
-them one after another.
+a GMM numerical collapse, all-undefined DBSCAN sweep, an artifact that
+cannot be written, a worker process that dies) is reported but never
+aborts the others. With more than one usable CPU and household, the
+households run in forked worker processes, one per CPU; the artifacts,
+messages and exit code are those of running them one after another.
 """
 
 from __future__ import annotations
@@ -84,29 +84,11 @@ def _json_bytes(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _utf8_error(path, exc: UnicodeDecodeError) -> SchemaError:
-    """A SchemaError naming the first line of `path` that is not valid UTF-8;
-    the decoder's own position is an offset into its read buffer."""
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                byte = line[bad.start]
-                return SchemaError(f"line {line_no}: not valid UTF-8: byte 0x{byte:02x} at offset {bad.start} of the line")
-    return SchemaError(f"not valid UTF-8: {exc.reason}")
-
-
 def _load_events(config: RunConfig):
-    if config.input_path is not None:
-        try:
+    try:
+        if config.input_path is not None:
             with open(config.input_path, "rb") as fh:
                 return events_mod.parse_events(fh)
-        except OSError as exc:
-            raise SchemaError(f"unreadable input: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _utf8_error(config.input_path, exc) from None
-    try:
         profile = synth_mod.load_profile(config.synth_profile_path)
     except OSError as exc:
         raise SchemaError(f"unreadable input: {exc}") from exc
@@ -116,9 +98,10 @@ def _load_events(config: RunConfig):
 def _process_household(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> dict:
     """Run one household end to end; returns its summary dict.
 
-    Raises SweepError / FitError / ValueError upward for per-household
-    failures, among them an id that is not a plain directory name, so no
-    household writes outside --out.
+    Raises SweepError / FitError / ValueError / OSError upward for
+    per-household failures, among them an id that is not a plain directory
+    name, so no household writes outside --out, and artifacts that cannot
+    be written.
     """
     if household_id in ("", ".", "..") or any(sep and sep in household_id for sep in (os.sep, os.altsep)):
         raise ValueError(f"household id {household_id!r} is not a plain directory name")
@@ -184,7 +167,7 @@ def _household_outcome(household_id: str, hh_events, config: RunConfig, out_dir:
     """Run one household: None if it succeeded, else its one-line failure."""
     try:
         _process_household(household_id, hh_events, config, out_dir)
-    except (SweepError, FitError, ValueError) as exc:
+    except (SweepError, FitError, ValueError, OSError) as exc:
         return f"{household_id}: {exc}"
     return None
 

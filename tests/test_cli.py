@@ -548,6 +548,26 @@ def test_no_worker_outlives_the_run(tmp_path, profile_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [1, pytest.param(3, marks=needs_fork)])
+def test_household_whose_artifacts_cannot_be_written_fails_alone(tmp_path, profile_path, monkeypatch, capsys, cpus):
+    # one rejected row makes out/rejections.csv a file, where the household
+    # "rejections.csv" would make its directory
+    merged = copies_of_house_1(tmp_path, profile_path, "house-1", "rejections.csv")
+    with merged.open("a") as fh:
+        fh.write("2024-03-01T08:00:00,house-1,s1,motion,kitchen,2\n")
+    set_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("run", "--input", merged, "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}/house-1/summary.json\n"
+    [failure] = captured.err.splitlines()
+    assert failure.startswith("mealclust: pipeline error: rejections.csv: ") and "File exists" in failure
+    assert sorted(p.name for p in (out / "house-1").iterdir()) == FULL_ARTIFACTS
+    last_line = len(merged.read_text().splitlines())
+    assert (out / "rejections.csv").read_text() == f"line,reason\n{last_line},non-binary value: '2'\n"
+
+
 @pytest.mark.parametrize("case", ["one household", "no fork", "no affinity, one CPU"])
 def test_households_run_in_process_without_a_pool(tmp_path, profile_path, monkeypatch, case):
     forbid_pool(monkeypatch)

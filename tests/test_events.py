@@ -432,6 +432,50 @@ def test_oversized_field_is_a_schema_error_naming_the_line():
         parse_events(text)
 
 
+def _with_bad_byte(lines, at, offset, ending=b"\n"):
+    """`lines` joined by `ending`, with byte 0xff at `offset` of line `at` (1-based)."""
+    lines = [line.encode() for line in lines]
+    lines[at - 1] = lines[at - 1][:offset] + b"\xff" + lines[at - 1][offset + 1:]
+    return b"".join(line + ending for line in lines)
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, events_mod.CHUNK_BYTES])
+@pytest.mark.parametrize("offset", [3, 20])
+def test_non_utf8_line_is_named_alike_on_every_read_path(monkeypatch, chunk_bytes, offset):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", chunk_bytes)
+    lines = [HEADER.rstrip()] + [row(f"2024-03-01T08:{i % 60:02d}:00").rstrip() for i in range(40)]
+    quoted = list(lines)
+    quoted[5] = quoted[5].replace(",kitchen,", ',"kitchen",')
+    sources = {
+        "byte path": _with_bad_byte(lines, 30, offset),
+        "csv.reader, CRLF": _with_bad_byte(lines, 30, offset, b"\r\n"),
+        "csv.reader after a quoted row": _with_bad_byte(quoted, 30, offset),
+    }
+    for path, data in sources.items():
+        for source in (data, io.BytesIO(data)):
+            with pytest.raises(SchemaError) as excinfo:
+                parse_events(source)
+            assert str(excinfo.value) == f"line 30: not valid UTF-8: byte 0xff at offset {offset} of the line", path
+    # on the header line, the offset counts the byte-order mark
+    with pytest.raises(SchemaError, match="^line 1: not valid UTF-8: byte 0xff at offset 8 of the line$"):
+        parse_events(b"\xef\xbb\xbf" + _with_bad_byte(lines, 1, 5))
+
+
+def test_parse_leaves_the_callers_stream_open(tmp_path):
+    good = (HEADER + row("2024-03-01T08:00:00")).encode()
+    path = tmp_path / "events.csv"
+    path.write_bytes(good)
+    with open(path, "rb") as fh:
+        assert len(parse_events(fh)[0]) == 1
+        assert fh.read() == b""  # read to the end, and still readable
+    for bad in (b"timestamp\n", good + b"\xff\n"):
+        path.write_bytes(bad)
+        with open(path, "rb") as fh:
+            with pytest.raises(SchemaError):
+                parse_events(fh)
+            assert not fh.closed
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_parse_pauses_the_collector_and_restores_the_callers_state(monkeypatch, enabled):
     real_parse_chunk = events_mod._parse_chunk
