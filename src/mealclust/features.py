@@ -23,12 +23,17 @@ SCALING_ZSCORE = "zscore"
 
 @dataclass
 class FeatureMatrix:
+    """Clustering features, one row per episode. The rows must not change
+    after construction: the matrix keeps their K-Means fits for its sweeps."""
+
     data: np.ndarray  # (N, D) float64, finite
     feature_names: list[str]
     scaling: str = SCALING_NONE
     # populated when scaling == "zscore"; per-column raw mean / stddev
     means: np.ndarray | None = field(default=None)
     stds: np.ndarray | None = field(default=None)
+    # KMeansModel by (k, seed), filled by the validation sweeps
+    kmeans_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)

@@ -120,9 +120,7 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
     matrix = features_mod.scale_features(matrix, method=config.scaling)
 
     km_report = sweep_kmeans(matrix, k_range=config.k_range, seed=config.seed, household_id=household_id)
-    gm_report = sweep_gmm(
-        matrix, g_range=config.g_range, seed=config.seed, household_id=household_id, kmeans_models=km_report.models
-    )
+    gm_report = sweep_gmm(matrix, g_range=config.g_range, seed=config.seed, household_id=household_id)
     for name, report in (("kmeans", km_report), ("gmm", gm_report)):
         (out_dir / f"sweep_{name}.json").write_text(_json_bytes(report.to_dict()))
         (out_dir / f"{name}_dbi.csv").write_text(report.plot_csv())

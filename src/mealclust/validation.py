@@ -4,8 +4,8 @@ The Davies-Bouldin index (lower is better) scores a hard partition by
 the mean, over clusters, of the worst-case ratio of summed scatters to
 centroid distance. Sweeps fit one model per parameter value and select
 the minimum-DBI entry, breaking ties toward the smallest parameter;
-the report keeps that entry's fitted model. The K-Means report keeps
-every fit, so the GMM sweep can start from them instead of refitting.
+the report keeps that entry's fitted model. Each GMM starts from the
+K-Means fit of its g, which a FeatureMatrix keeps for both sweeps.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class SweepReport:
     seed: int = 0
     # the fitted model behind `best`; not serialised
     best_model: KMeansModel | GmmModel | DbscanResult | None = field(default=None, compare=False, repr=False)
-    # every K-Means fit, in entry order, for the GMM sweep to start from; not serialised
-    models: list[KMeansModel] = field(default_factory=list, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -138,12 +136,22 @@ def check_param_range(values: Sequence[int], name: str) -> None:
 
 
 def _param_range(values: range, n: int, name: str) -> list[int]:
-    """The k or g values to sweep, each a valid cluster count for n rows."""
-    params = list(values)
-    check_param_range(params, name)
-    if params[-1] > n - 1:
+    """The k or g values to sweep, each a valid cluster count for n rows;
+    the range is listed only once it is known to be within bounds."""
+    check_param_range(values, name)
+    if values[-1] > n - 1:
         raise ValueError(f"{name} must lie within [2, {n - 1}]")
-    return params
+    return list(values)
+
+
+def _kmeans_fits(m: FeatureMatrix | np.ndarray, ks: list[int], seed: int) -> list[KMeansModel]:
+    """The K-Means fit at each k with this seed; a FeatureMatrix keeps its
+    fits, so only those it lacks are fitted, while an array keeps none."""
+    kept = m.kmeans_fits if isinstance(m, FeatureMatrix) else {}
+    for k in ks:
+        if (k, seed) not in kept:
+            kept[k, seed] = kmeans_fit(m, k=k, seed=seed)
+    return [kept[k, seed] for k in ks]
 
 
 def _sweep(
@@ -180,13 +188,10 @@ def sweep_kmeans(
     seed: int = 0,
     household_id: str = "",
 ) -> SweepReport:
-    """One kmeans_fit + DBI per k; best = minimum DBI. The report keeps
-    every fit in `models`."""
+    """One K-Means fit + DBI per k; best = minimum DBI. The fits come
+    from `m` where it already keeps them (see `FeatureMatrix`)."""
     ks = _param_range(k_range, len(_as_array(m)), "k_range")
-    fits = [kmeans_fit(m, k=k, seed=seed) for k in ks]
-    report = _sweep(m, "kmeans", zip(ks, fits), seed, household_id)
-    report.models = fits
-    return report
+    return _sweep(m, "kmeans", zip(ks, _kmeans_fits(m, ks, seed)), seed, household_id)
 
 
 def sweep_gmm(
@@ -194,28 +199,19 @@ def sweep_gmm(
     g_range: range = DEFAULT_G_RANGE,
     seed: int = 0,
     household_id: str = "",
-    kmeans_models: Iterable[KMeansModel] = (),
 ) -> SweepReport:
     """One GMM per g, all fitted in one lockstep `gmm_fits` call, + DBI
     on hard labels per g.
 
-    Each fit starts from the model in `kmeans_models` whose k is g (for
-    example a K-Means sweep's `models`), and from its own K-Means fit
-    with this seed where there is none. Raises ValueError if a given
-    model's seed is not this seed.
+    Each fit starts from the K-Means fit of `m` at k = g with this seed,
+    the one a K-Means sweep of the same matrix and seed uses (see
+    `FeatureMatrix`).
 
     Components left empty by the hard assignment are simply absent from
     the labeling, so an entry's n_clusters may be below its g.
     """
     gs = _param_range(g_range, len(_as_array(m)), "g_range")
-    given = {}
-    for km in kmeans_models:
-        if km.seed != seed:
-            raise ValueError(f"K-Means model of k={km.k} has seed {km.seed}, not {seed}")
-        given[km.k] = km
-    starts = [given.get(g) or kmeans_fit(m, k=g, seed=seed) for g in gs]
-    fits = gmm_fits(m, starts)
-    return _sweep(m, "gmm", zip(gs, fits), seed, household_id)
+    return _sweep(m, "gmm", zip(gs, gmm_fits(m, _kmeans_fits(m, gs, seed))), seed, household_id)
 
 
 def sweep_dbscan(

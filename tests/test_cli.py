@@ -379,6 +379,15 @@ def test_each_kmeans_is_fitted_once_per_k(tmp_path, profile_path, monkeypatch):
     assert sorted(fitted_k) == list(range(2, 11))
 
 
+@pytest.mark.parametrize("flag, name", [("--k-range", "k_range"), ("--g-range", "g_range")])
+def test_huge_range_fails_only_the_household(tmp_path, profile_path, capsys, flag, name):
+    # the bound is checked before the range is listed, so no MemoryError ends the run
+    out = tmp_path / "out"
+    assert run_cli("run", "--synth-profile", profile_path, flag, "2..4000000000", "--out", out) == 3
+    n = len(read_episodes_csv((out / "house-1" / "episodes.csv").read_text()))
+    assert capsys.readouterr().err == f"mealclust: pipeline error: house-1: {name} must lie within [2, {n - 1}]\n"
+
+
 def test_seed_env_fallback(tmp_path, profile_path, monkeypatch):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     monkeypatch.setenv("MEALCLUST_SEED", "7")

@@ -25,7 +25,6 @@ from mealclust.gmm import (
 )
 from mealclust.kmeans import KMeansModel, kmeans_fit
 from mealclust.synth import DEFAULT_CATEGORIES, HouseholdProfile, default_profile, generate_trace
-from mealclust.validation import sweep_kmeans
 
 
 def matrix(data):
@@ -180,8 +179,8 @@ def test_fit_matches_reference_em_on_planted_study(seed):
 def test_fit_from_a_given_kmeans_model_equals_its_own_start():
     events = generate_trace(default_profile(days=365, seed=0))
     m = scale_features(build_features(segment_episodes(filter_meal_locations(events))), "zscore")
-    report = sweep_kmeans(m, seed=4)
-    for km, got in zip(report.models, gmm_fits(m, report.models)):
+    kms = starts(m, range(2, 11), seed=4)
+    for km, got in zip(kms, gmm_fits(m, kms)):
         assert got.params.g == km.k and got.seed == 4
         assert_same_fit(got, gmm_fit(m, g=km.k, seed=4))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mealclust.validation import (
     sweep_gmm,
     sweep_kmeans,
 )
+from test_cli import count_fits
 
 
 def matrix(data):
@@ -202,16 +205,17 @@ def test_kmeans_and_dbscan_sweeps_keep_their_best_fit():
 
 
 def test_sweeps_are_deterministic_with_and_without_shared_fits():
-    m = four_blobs(seed=3, spread=4.0)
     for seed in (0, 7):
-        km, again = sweep_kmeans(m, seed=seed), sweep_kmeans(m, seed=seed)
+        m = four_blobs(seed=3, spread=4.0)
+        km, again = sweep_kmeans(m, seed=seed), sweep_kmeans(four_blobs(seed=3, spread=4.0), seed=seed)
         assert again == km
-        for a, b in zip(again.models, km.models):
+        for k in range(2, 11):
+            a, b = m.kmeans_fits[k, seed], kmeans_fit(m.data, k=k, seed=seed)
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.centroids, b.centroids)
-        alone = sweep_gmm(m, seed=seed)
-        shared = sweep_gmm(m, seed=seed, kmeans_models=km.models)
-        assert sweep_gmm(m, seed=seed) == alone
+        shared = sweep_gmm(m, seed=seed)  # starts from the K-Means sweep's fits
+        alone = sweep_gmm(four_blobs(seed=3, spread=4.0), seed=seed)
+        assert sweep_gmm(four_blobs(seed=3, spread=4.0), seed=seed) == alone
         assert shared == alone
         a, b = shared.best_model, alone.best_model
         assert np.array_equal(a.labels, b.labels)
@@ -220,22 +224,42 @@ def test_sweeps_are_deterministic_with_and_without_shared_fits():
         assert a.log_likelihood_trace == b.log_likelihood_trace
 
 
-def test_gmm_sweep_shares_only_the_fits_it_sweeps():
+def test_gmm_sweep_shares_only_the_fits_it_sweeps(monkeypatch):
     # K-Means fits for k = 2..4 cover part of g = 3..6; the rest are fitted
     m = four_blobs(seed=5)
-    km = sweep_kmeans(m, k_range=range(2, 5), seed=1)
-    shared = sweep_gmm(m, g_range=range(3, 7), seed=1, kmeans_models=km.models)
-    assert shared == sweep_gmm(m, g_range=range(3, 7), seed=1)
+    sweep_kmeans(m, k_range=range(2, 5), seed=1)
+    fitted = count_fits(monkeypatch, kmeans_fit, "k")
+    shared = sweep_gmm(m, g_range=range(3, 7), seed=1)
+    assert fitted == [5, 6]
+    assert shared == sweep_gmm(four_blobs(seed=5), g_range=range(3, 7), seed=1)
     assert [e.param for e in shared.entries] == [3.0, 4.0, 5.0, 6.0]
 
 
-def test_gmm_sweep_rejects_fits_of_another_seed():
+def test_gmm_sweep_ignores_fits_of_another_seed():
     m = four_blobs(seed=5)
-    km = sweep_kmeans(m, k_range=range(2, 5), seed=1)
-    with pytest.raises(ValueError, match="seed 1, not 2"):
-        sweep_gmm(m, g_range=range(2, 5), seed=2, kmeans_models=km.models)
-    with pytest.raises(ValueError, match="seed 1, not 2"):
-        sweep_gmm(m, g_range=range(5, 7), seed=2, kmeans_models=km.models)  # none of them used
+    sweep_kmeans(m, k_range=range(2, 5), seed=1)
+    assert sweep_gmm(m, g_range=range(2, 5), seed=2) == sweep_gmm(four_blobs(seed=5), g_range=range(2, 5), seed=2)
+
+
+def test_kmeans_then_gmm_sweep_fits_each_k_once(monkeypatch):
+    # the call pattern of acceptance criterion 6: both sweeps on one matrix
+    fitted = count_fits(monkeypatch, kmeans_fit, "k")
+    m = four_blobs(seed=8)
+    km, gm = sweep_kmeans(m, seed=3), sweep_gmm(m, seed=3)
+    assert fitted == list(range(2, 11))
+    assert sweep_kmeans(m.data, seed=3) == km and sweep_gmm(m.data, seed=3) == gm  # an array keeps no fits
+    assert fitted == list(range(2, 11)) * 3
+    # the fits are not part of the matrix's value, and a copy starts with none
+    fresh = replace(m)
+    assert fresh.kmeans_fits == {} and len(m.kmeans_fits) == 9
+    assert fresh == m and repr(fresh) == repr(m)
+
+
+def test_huge_range_fails_before_it_is_listed():
+    with pytest.raises(ValueError, match="must lie within"):
+        sweep_kmeans(four_blobs(), k_range=range(2, 2**62))
+    with pytest.raises(ValueError, match="must lie within"):
+        sweep_gmm(four_blobs(), g_range=range(2, 2**62))
 
 
 def test_sweep_dbscan_two_blobs():
@@ -300,7 +324,7 @@ def test_report_round_trip():
     report = sweep_kmeans(m, seed=0, household_id="h9")
     clone = SweepReport.from_dict(report.to_dict())
     assert clone == report
-    assert clone.best_model is None and clone.models == []  # fitted models are not serialised
+    assert clone.best_model is None  # fitted models are not serialised
 
 
 def test_plot_csv_format():
