@@ -12,10 +12,10 @@ Events are held as columns in an `EventTable`: int64 seconds since
 household, sensor, kind and location. The table is a sequence of
 `SensorEvent`s, built one at a time as they are read.
 
-The parser reads bytes. A canonical row (a canonical timestamp first,
-then printable ASCII fields that pass every check) is parsed from its
-bytes; every other row goes through csv.reader and the per-row checks,
-so each rejection keeps its line and message.
+The parser reads bytes, byte input with universal newlines. A canonical
+row (a canonical timestamp first, then printable ASCII fields that pass
+every check) is parsed from its bytes; every other row goes through
+csv.reader and the per-row checks, so each rejection keeps its line.
 """
 
 from __future__ import annotations
@@ -323,7 +323,8 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
                  checked: dict[bytes, tuple | None]) -> tuple[list[np.ndarray], list[Rejection], int]:
     """The event columns, the rejections and the line count of a block of
     whole lines, the first on input line `line`, that holds no quote and no
-    carriage return, under a header whose first column is the timestamp.
+    carriage return (`_blocks` makes each line end of byte input "\\n"),
+    under a header whose first column is the timestamp.
 
     A canonical row, whose timestamp has the canonical shape and whose
     other fields are printable ASCII and pass every check, is parsed from
@@ -375,27 +376,25 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
     return [np.concatenate(pair)[order] for pair in zip(columns, slow_columns)], rejections, n
 
 
-def _byte_stream(stream) -> tuple[BinaryIO, str | None]:
-    """`stream` as a binary stream, plus the `newline` with which its
-    csv.reader fallback decodes it: bytes are read as a text-mode file
-    reads them, and text ends its lines at "\\n" only, as io.StringIO does."""
+def _blocks(stream) -> Iterator[bytes]:
+    """`stream` as UTF-8 in runs of whole lines: its first line, then blocks
+    of about CHUNK_BYTES each; the last line may lack its newline. Bytes
+    are read with universal newlines, each "\\r\\n" or lone "\\r" becoming
+    "\\n" as in a text-mode file (no other UTF-8 character holds either
+    byte). Text is read whole and encoded; its lines end at "\\n" only."""
     if isinstance(stream, bytes):
-        return io.BytesIO(stream), None
-    if not isinstance(stream, str):
-        if not isinstance(stream.read(0), str):
-            return stream, None
-        stream = stream.read()
-    return io.BytesIO(stream.encode("utf-8")), "\n"
-
-
-def _blocks(data: BinaryIO) -> Iterator[bytes]:
-    """`data` in runs of whole lines: its first line, then blocks of about
-    CHUNK_BYTES each; the last line may lack its newline."""
-    yield data.readline()
-    while block := data.read(CHUNK_BYTES):
+        stream = io.BytesIO(stream)
+    text = isinstance(stream, str) or isinstance(stream.read(0), str)
+    if text:
+        stream = io.BytesIO((stream if isinstance(stream, str) else stream.read()).encode("utf-8"))
+    block = stream.readline()
+    while True:
+        # each block ends at a "\n" or at the end, so no "\r\n" straddles two
+        yield block if text or b"\r" not in block else block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not (block := stream.read(CHUNK_BYTES)):
+            return
         if not block.endswith(b"\n"):
-            block += data.readline()
-        yield block
+            block += stream.readline()
 
 
 def _decode(run: bytes, line: int) -> str:
@@ -409,11 +408,11 @@ def _decode(run: bytes, line: int) -> str:
                           f"byte 0x{run[exc.start]:02x} at offset {len(head)} of the line") from None
 
 
-def _texts(runs: Iterable[bytes], line: int, newline: str | None) -> Iterator[io.StringIO]:
+def _texts(runs: Iterable[bytes], line: int) -> Iterator[io.StringIO]:
     """Each of `runs`, runs of whole lines from input line `line` on, decoded
-    when it is reached, as a text stream splitting lines as `newline` says."""
+    when it is reached, as a text stream splitting lines at "\\n"."""
     for run in runs:
-        yield io.StringIO(_decode(run, line), newline=newline)
+        yield io.StringIO(_decode(run, line))
         line += run.count(b"\n")
 
 
@@ -428,8 +427,9 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
 
     `stream` is bytes, a binary stream, a str or a text stream; text is
     read whole and encoded to UTF-8. Bytes are read as UTF-8 with
-    universal newlines, as a text-mode file reads them; text ends its
-    lines at "\\n" only. A caller's stream is read, never closed.
+    universal newlines, as a text-mode file reads them, so a CRLF log
+    parses as its LF copy; text ends its lines at "\\n" only. A caller's
+    stream is read, never closed.
 
     Returns events sorted ascending by timestamp (stable, so equal
     timestamps keep input order). Every data row lands either in the
@@ -440,11 +440,10 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     CSV, or at its first line that is not valid UTF-8, naming that line
     and the offset of the bad byte in it.
     """
-    data, newline = _byte_stream(stream)
-    blocks = _blocks(data)
+    blocks = _blocks(stream)
     first = next(blocks)
     # a UTF-8 byte-order mark, which csv and str.strip keep, is no part of the header
-    header = io.StringIO(_decode(first, 1).removeprefix("\ufeff"), newline=newline)
+    header = io.StringIO(_decode(first, 1).removeprefix("\ufeff"))
     vocab: dict[str, int] = {}
     chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
@@ -456,13 +455,13 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     gc.disable()
     try:
         # after the header, this reader reads only the blocks that the byte path leaves
-        texts = chain([header], _texts(blocks, line, newline))
+        texts = chain([header], _texts(blocks, line))
         reader, reader_lines = csv.reader(chain.from_iterable(texts)), range(1, sys.maxsize)
         idx = _header(reader, reader_lines)
         if idx["timestamp"] == 0 and not _framed(first):
             for block in blocks:
                 if _framed(block):
-                    reader = csv.reader(chain.from_iterable(_texts(chain([block], blocks), line, newline)))
+                    reader = csv.reader(chain.from_iterable(_texts(chain([block], blocks), line)))
                     reader_lines = range(line, sys.maxsize)
                     break
                 columns, rejected, n = _parse_block(block, line, idx, vocab, checked)

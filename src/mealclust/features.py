@@ -7,7 +7,7 @@ carry incommensurate units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -78,14 +78,15 @@ def build_features(
 
 
 def scale_features(m: FeatureMatrix, method: str = SCALING_NONE) -> FeatureMatrix:
-    """Return a new matrix scaled by `method`.
+    """Return a new matrix scaled by `method`; "none" returns a copy of `m`
+    that keeps its scaling, means and stds.
 
     Z-scoring uses the population stddev (divisor N); constant columns
     map to all-zeros with a recorded stddev of 1 so the inverse mapping
     stays exact.
     """
     if method == SCALING_NONE:
-        return FeatureMatrix(data=m.data.copy(), feature_names=list(m.feature_names))
+        return replace(m, data=m.data.copy(), feature_names=list(m.feature_names))
     if method != SCALING_ZSCORE:
         raise ValueError(f"unknown scaling method: {method!r}")
     if m.scaling != SCALING_NONE:

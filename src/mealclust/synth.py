@@ -13,7 +13,8 @@ compare recovered clusters against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -36,6 +37,9 @@ class MealCategory:
     events_per_minute: float = 1.0
 
     def validate(self) -> None:
+        for field in fields(self)[1:]:
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"category {self.name}: {field.name} must be finite")
         if not 0 <= self.start_hour_mean < 24:
             raise ValueError(f"category {self.name}: start_hour_mean must be in [0, 24)")
         if self.start_hour_sd <= 0:
@@ -67,8 +71,10 @@ class HouseholdProfile:
             raise ValueError("categories must be non-empty")
         if self.days < 0:
             raise ValueError("days must be non-negative")
-        if self.noise_events_per_day < 0:
-            raise ValueError("noise_events_per_day must be non-negative")
+        if not 0 <= self.noise_events_per_day < math.inf:
+            raise ValueError("noise_events_per_day must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for cat in self.categories:
             cat.validate()
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,19 @@ def test_generate_invalid_profile(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("household_id = h\ndays = never\n")
     assert run_cli("generate", "--profile", bad, "--out", tmp_path / "g") == 2
+
+
+@pytest.mark.parametrize("key, value", [("start_hour_sd", "nan"), ("duration_mean_min", "inf"),
+                                        ("events_per_minute", "inf"), ("noise_events_per_day", "inf"),
+                                        ("seed", "-1")])
+def test_profile_with_a_bad_number_is_an_input_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.txt"
+    text = format_profile(default_profile(days=3, seed=1))
+    bad.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M))
+    assert run_cli("generate", "--profile", bad, "--out", tmp_path / "g") == 2
+    assert run_cli("run", "--synth-profile", bad, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "g").exists() and not (tmp_path / "out").exists()
+    assert f"{key} must be" in capsys.readouterr().err
 
 
 def test_run_on_synth_profile(tmp_path, profile_path):

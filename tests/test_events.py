@@ -448,7 +448,8 @@ def test_non_utf8_line_is_named_alike_on_every_read_path(monkeypatch, chunk_byte
     quoted[5] = quoted[5].replace(",kitchen,", ',"kitchen",')
     sources = {
         "byte path": _with_bad_byte(lines, 30, offset),
-        "csv.reader, CRLF": _with_bad_byte(lines, 30, offset, b"\r\n"),
+        "byte path, CRLF": _with_bad_byte(lines, 30, offset, b"\r\n"),
+        "bare CR": _with_bad_byte(lines, 30, offset, b"\r"),
         "csv.reader after a quoted row": _with_bad_byte(quoted, 30, offset),
     }
     for path, data in sources.items():
@@ -500,6 +501,28 @@ def test_parse_pauses_the_collector_and_restores_the_callers_state(monkeypatch, 
     finally:
         (gc.enable if was else gc.disable)()
     assert during and not any(during)
+
+
+def test_crlf_rows_take_the_byte_path(monkeypatch):
+    """A CRLF log sends `_parse_chunk` only the rows that an LF log sends it:
+    here the one padded timestamp. A bare-CR log has no "\\n" to cut blocks
+    at, so its first line is the whole input and csv.reader reads every row."""
+    real_parse_chunk = events_mod._parse_chunk
+    sent = []
+
+    def recording_parse_chunk(rows, *args):
+        sent.extend(rows)
+        return real_parse_chunk(rows, *args)
+
+    monkeypatch.setattr(events_mod, "_parse_chunk", recording_parse_chunk)
+    text = HEADER + row("2024-03-01T08:00:00") + row(" 2024-03-01T09:00:00") + row("2024-03-01T10:00:00")
+    padded = [" 2024-03-01T09:00:00", "h1", "s1", "motion", "kitchen", "1"]
+    lf = parse_events(text.encode())
+    assert sent == [padded]
+    for ending in ("\r\n", "\r"):
+        sent.clear()
+        assert parse_events(text.replace("\n", ending).encode()) == lf
+        assert sent == ([padded] if ending == "\r\n" else [r.split(",") for r in text.splitlines()[1:]])
 
 
 def test_table_slicing_and_indexing():

@@ -66,6 +66,12 @@ def test_scale_none_is_identity():
     out = scale_features(m, "none")
     assert (out.data == m.data).all()
     assert out.scaling == "none"
+    # on a z-scored matrix, the identity keeps the scaling and its moments
+    z = scale_features(m, SCALING_ZSCORE)
+    out = scale_features(z, "none")
+    assert out.data is not z.data and (out.data == z.data).all()
+    assert out.scaling == SCALING_ZSCORE and (out.means == z.means).all() and (out.stds == z.stds).all()
+    assert (out.unscaled() == z.unscaled()).all()
 
 
 def test_zscore_requires_two_rows():

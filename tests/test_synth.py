@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,10 @@ def test_profile_parse_errors_name_the_field():
             "category = lunch\nstart_hour_mean = 12\nstart_hour_sd = 0.5\n"
             "duration_mean_min = 30\ndaily_probability = 1\n"
         )
+    # non-finite numbers and a negative seed fail here, not inside numpy
+    base = format_profile(default_profile(days=3))
+    for key, value in [("start_hour_sd", "nan"), ("duration_mean_min", "inf"), ("duration_sd_min", "-inf"),
+                       ("events_per_minute", "inf"), ("noise_events_per_day", "inf"),
+                       ("noise_events_per_day", "nan"), ("seed", "-1")]:
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            parse_profile(re.sub(rf"^{key} = .*$", f"{key} = {value}", base, count=1, flags=re.M))
