@@ -9,22 +9,18 @@ once; `ActivityEpisode`s are built only for the kept episodes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from mealclust.events import EventTable, SensorEvent, TIMESTAMP_FORMAT, csv_text, datetimes
+from mealclust.events import EventTable, SensorEvent, datetimes
 
 DEFAULT_GAP_THRESHOLD_MIN = 10.0
 DEFAULT_MIN_DURATION_MIN = 1.0
 DEFAULT_MIN_EVENTS = 2
-
-EPISODE_CSV_COLUMNS = ("household_id", "start", "end", "duration_min", "start_hour", "event_count")
 
 
 @dataclass(frozen=True)
@@ -92,41 +88,3 @@ def segment_episodes(
         )
     ]
 
-
-def episodes_to_csv(episodes: Iterable[ActivityEpisode]) -> str:
-    return csv_text(
-        EPISODE_CSV_COLUMNS,
-        (
-            [
-                ep.household_id,
-                ep.start.strftime(TIMESTAMP_FORMAT),
-                ep.end.strftime(TIMESTAMP_FORMAT),
-                repr(ep.duration_min),
-                repr(ep.start_hour),
-                ep.event_count,
-            ]
-            for ep in episodes
-        ),
-    )
-
-
-def read_episodes_csv(text: str) -> list[ActivityEpisode]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != EPISODE_CSV_COLUMNS:
-        raise ValueError(f"unexpected episode CSV header: {header}")
-    episodes = []
-    for row in reader:
-        if not row:
-            continue
-        episodes.append(
-            ActivityEpisode(
-                household_id=row[0],
-                start=datetime.strptime(row[1], TIMESTAMP_FORMAT),
-                end=datetime.strptime(row[2], TIMESTAMP_FORMAT),
-                duration_min=float(row[3]),
-                start_hour=float(row[4]),
-                event_count=int(row[5]),
-            )
-        )
-    return episodes

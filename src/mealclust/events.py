@@ -21,6 +21,7 @@ csv.reader and the per-row checks, so each rejection keeps its line.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import io
 import sys
@@ -28,12 +29,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, compress, islice
-from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from operator import attrgetter, itemgetter, methodcaller
+from typing import BinaryIO, Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
-REQUIRED_COLUMNS = ("timestamp", "household_id", "sensor_id", "sensor_kind", "location", "value")
 SENSOR_KINDS = frozenset({"motion", "contact"})
 DEFAULT_MEAL_LOCATIONS = frozenset({"kitchen", "dining_room"})
 
@@ -49,8 +49,6 @@ _SECOND = timedelta(seconds=1)
 CHUNK_BYTES = 256 * 1024
 _ROW_BYTES = 64
 _BINARY = {"0": 0, "1": 1}
-# The fields of a row other than its timestamp, in `EventTable` order.
-_FIELD_COLUMNS = ("household_id", "sensor_id", "sensor_kind", "location", "value")
 
 # The canonical timestamp shape, ``YYYY-MM-DDTHH:MM:SS``, by character position.
 _DIGIT_AT = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
@@ -82,6 +80,12 @@ class Rejection:
 
     line: int
     reason: str
+
+
+# The input columns are the fields of `SensorEvent`; the fields of a row
+# other than its timestamp are in `EventTable` order.
+REQUIRED_COLUMNS = tuple(f.name for f in dataclasses.fields(SensorEvent))
+_FIELD_COLUMNS = REQUIRED_COLUMNS[1:]
 
 
 def epoch_seconds(ts: datetime) -> int:
@@ -143,12 +147,6 @@ class EventTable(Sequence):
         """The strings of one code column."""
         return np.asarray(self.names, dtype=object)[codes].tolist()
 
-    def rows(self, stamps: list) -> Iterator[tuple]:
-        """Each event's fields in `SensorEvent` order, its timestamp taken
-        from `stamps`."""
-        columns = (self.household, self.sensor, self.kind, self.location)
-        return zip(stamps, *map(self.decoded, columns), self.value.tolist())
-
     def __len__(self) -> int:
         return len(self.seconds)
 
@@ -159,7 +157,8 @@ class EventTable(Sequence):
         return next(iter(self.take(slice(i, i + 1))))
 
     def __iter__(self) -> Iterator[SensorEvent]:
-        for row in self.rows(datetimes(self.seconds)):
+        columns = (self.household, self.sensor, self.kind, self.location)
+        for row in zip(datetimes(self.seconds), *map(self.decoded, columns), self.value.tolist()):
             yield SensorEvent(*row)
 
     def __eq__(self, other) -> bool:
@@ -378,23 +377,43 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
 
 def _blocks(stream) -> Iterator[bytes]:
     """`stream` as UTF-8 in runs of whole lines: its first line, then blocks
-    of about CHUNK_BYTES each; the last line may lack its newline. Bytes
-    are read with universal newlines, each "\\r\\n" or lone "\\r" becoming
-    "\\n" as in a text-mode file (no other UTF-8 character holds either
-    byte). Text is read whole and encoded; its lines end at "\\n" only."""
+    of about CHUNK_BYTES each, each ending at its last line end; the last
+    line may lack its line end. Bytes are read with universal newlines,
+    each "\\r\\n" or lone "\\r" ending a line and becoming "\\n" as in a
+    text-mode file (no other UTF-8 character holds either byte). Text is
+    read whole and encoded; its lines end at "\\n" only."""
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
-    text = isinstance(stream, str) or isinstance(stream.read(0), str)
-    if text:
+    universal = not (isinstance(stream, str) or isinstance(stream.read(0), str))
+    if not universal:
         stream = io.BytesIO((stream if isinstance(stream, str) else stream.read()).encode("utf-8"))
-    block = stream.readline()
-    while True:
-        # each block ends at a "\n" or at the end, so no "\r\n" straddles two
-        yield block if text or b"\r" not in block else block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if not (block := stream.read(CHUNK_BYTES)):
-            return
-        if not block.endswith(b"\n"):
-            block += stream.readline()
+    ends = (b"\n", b"\r") if universal else (b"\n",)
+    first, pending = True, b""
+    # no name but `data` holds what is read, so a block being parsed is
+    # the only copy of its bytes
+    while len(data := pending + stream.read(CHUNK_BYTES)) > len(pending):
+        # `pending` ends no line before its last byte; a "\r" at the end of
+        # `data` waits for the next byte, which may be its "\n"
+        start, stop = max(len(pending) - 1, 0), len(data) - (universal and data.endswith(b"\r"))
+        if first:
+            at = min((i for i in (data.find(end, start, stop) for end in ends) if i >= 0), default=-1)
+            if at >= 0:
+                cut = at + 1 + (data[at:at + 2] == b"\r\n")
+                block, data = data[:cut], data[cut:]
+                yield _universal(block) if universal else block
+                first, start, stop = False, 0, stop - cut
+        if not first and (cut := max(data.rfind(end, start, stop) for end in ends) + 1):
+            block, data = data[:cut], data[cut:]
+            yield _universal(block) if universal else block
+        pending = data
+    if pending or first:
+        yield _universal(pending) if universal else pending
+
+
+def _universal(run: bytes) -> bytes:
+    """`run`, which ends no line between a "\\r" and its "\\n", with each
+    of its line ends made "\\n"."""
+    return run.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in run else run
 
 
 def _decode(run: bytes, line: int) -> str:
@@ -511,22 +530,55 @@ def group_by_household(events: Iterable[SensorEvent]) -> dict[str, EventTable]:
     return {table.names[code]: table.take(rows) for rows, code in groups}
 
 
-def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
-    """CSV text: the header line, then one line per row, each ending in
-    a bare newline. Every artifact CSV of the package is written here."""
+def field_types(record_type: type) -> dict[str, type]:
+    """The declared type of each field of the dataclass `record_type`, by
+    name in field order: the columns or keys of its file format."""
+    hints = get_type_hints(record_type)
+    return {f.name: hints[f.name] for f in dataclasses.fields(record_type)}
+
+
+def records_to_csv(record_type: type, records: Iterable) -> str:
+    """CSV text of `records`, instances of the dataclass `record_type`: a
+    header of its field names in order, then one line per record, each
+    ending in a bare newline. Every CSV the package writes is written here,
+    so a record type is its own file format. Each column's format follows
+    from its field's declared type: a datetime in TIMESTAMP_FORMAT, any
+    other value as csv.writer writes it (a float through repr, None empty)."""
+    records = list(records)
+    kinds = field_types(record_type)
+    columns = []
+    for name, kind in kinds.items():
+        column = map(attrgetter(name), records)
+        if kind is datetime:
+            column = map(methodcaller("strftime", TIMESTAMP_FORMAT), column)
+        columns.append(column)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(kinds)
+    writer.writerows(zip(*columns))
     return out.getvalue()
 
 
-def events_to_csv(events: Iterable[SensorEvent]) -> str:
-    """Serialize events back into the input CSV schema."""
-    table = EventTable.from_events(events)
-    stamps = np.datetime_as_string(table.seconds.astype("datetime64[s]"), unit="s").tolist()
-    return csv_text(REQUIRED_COLUMNS, table.rows(stamps))
+def _cell_reader(kind):
+    """The function that reads a field of declared type `kind` back from
+    its `records_to_csv` text: an empty field is None where None is allowed."""
+    if kind is datetime:
+        return lambda text: datetime.strptime(text, TIMESTAMP_FORMAT)
+    if type(None) in getattr(kind, "__args__", ()):
+        (inner,) = (arg for arg in kind.__args__ if arg is not type(None))
+        read = _cell_reader(inner)
+        return lambda text: None if text == "" else read(text)
+    return kind
 
 
-def rejections_to_csv(rejections: Iterable[Rejection]) -> str:
-    return csv_text(["line", "reason"], ([r.line, r.reason] for r in rejections))
+def records_from_csv(record_type: type, text: str) -> list:
+    """The records of `records_to_csv(record_type, records)` text, read by
+    the types of the same fields; raises ValueError on another header."""
+    reader = csv.reader(io.StringIO(text))
+    kinds = field_types(record_type)
+    header = next(reader, [])
+    if header != list(kinds):
+        raise ValueError(f"unexpected {record_type.__name__} CSV header: {header}")
+    cells = list(map(_cell_reader, kinds.values()))
+    return [record_type(*(read(cell) for read, cell in zip(cells, row))) for row in reader if row]
+

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from mealclust import events as events_mod
@@ -21,12 +21,13 @@ from mealclust import dbscan as dbscan_mod
 from mealclust import episodes as episodes_mod
 from mealclust import features as features_mod
 from mealclust import synth as synth_mod
-from mealclust.events import SchemaError, csv_text
-from mealclust.gmm import FitError, category_summary
+from mealclust.events import SchemaError, SensorEvent, records_to_csv
+from mealclust.gmm import CategoryRow, FitError, category_summary
 from mealclust.validation import (
     DEFAULT_EPS_VALUES,
     DEFAULT_G_RANGE,
     DEFAULT_K_RANGE,
+    SweepEntry,
     SweepError,
     check_param_range,
     sweep_dbscan,
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PIPELINE_ERROR = 3
-
-CATEGORY_CSV_COLUMNS = ("category", "mean_duration_min", "weight", "count")
 
 
 @dataclass
@@ -114,7 +113,7 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
     if not episodes:
         raise ValueError("no episodes")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "episodes.csv").write_text(episodes_mod.episodes_to_csv(episodes))
+    (out_dir / "episodes.csv").write_text(records_to_csv(episodes_mod.ActivityEpisode, episodes))
 
     matrix = features_mod.build_features(episodes, mode=config.feature_mode)
     matrix = features_mod.scale_features(matrix, method=config.scaling)
@@ -123,10 +122,10 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
     gm_report = sweep_gmm(matrix, g_range=config.g_range, seed=config.seed, household_id=household_id)
     for name, report in (("kmeans", km_report), ("gmm", gm_report)):
         (out_dir / f"sweep_{name}.json").write_text(_json_bytes(report.to_dict()))
-        (out_dir / f"{name}_dbi.csv").write_text(report.plot_csv())
+        (out_dir / f"{name}_dbi.csv").write_text(records_to_csv(SweepEntry, report.entries))
 
     categories = category_summary(gm_report.best_model, matrix)
-    (out_dir / "categories.csv").write_text(csv_text(CATEGORY_CSV_COLUMNS, map(astuple, categories)))
+    (out_dir / "categories.csv").write_text(records_to_csv(CategoryRow, categories))
 
     summary: dict = {
         "household_id": household_id,
@@ -151,7 +150,7 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         (out_dir / "summary.json").write_text(_json_bytes(summary))
         raise
     (out_dir / "sweep_dbscan.json").write_text(_json_bytes(db_report.to_dict()))
-    (out_dir / "dbscan_dbi.csv").write_text(db_report.plot_csv())
+    (out_dir / "dbscan_dbi.csv").write_text(records_to_csv(SweepEntry, db_report.entries))
     summary["algorithms"]["dbscan"] = {
         "best_param": db_report.best.param,
         "dbi": db_report.best.dbi,
@@ -240,7 +239,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     if rejections:
-        (out_root / "rejections.csv").write_text(events_mod.rejections_to_csv(rejections))
+        (out_root / "rejections.csv").write_text(records_to_csv(events_mod.Rejection, rejections))
 
     meal_events = events_mod.filter_meal_locations(all_events, config.locations)
     groups = events_mod.group_by_household(meal_events)
@@ -263,6 +262,6 @@ def generate_files(profile_path: Path | None, out_dir: Path) -> tuple[Path, Path
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
     truth_path = out_dir / "planted.csv"
-    trace_path.write_text(events_mod.events_to_csv(events))
-    truth_path.write_text(synth_mod.planted_to_csv(planted))
+    trace_path.write_text(records_to_csv(SensorEvent, events))
+    truth_path.write_text(records_to_csv(synth_mod.PlantedEpisode, planted))
     return trace_path, truth_path

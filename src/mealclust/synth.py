@@ -14,16 +14,15 @@ compare recovered clusters against ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from mealclust.events import EventTable, TIMESTAMP_FORMAT, csv_text, epoch_seconds
+from mealclust.events import EventTable, epoch_seconds, field_types
 
 BASE_DATE = datetime(2024, 1, 1)
 NOISE_LOCATIONS = ("bedroom", "bathroom", "living_room")
-TRUTH_CSV_COLUMNS = ("day", "category", "start", "duration_min")
 
 
 @dataclass(frozen=True)
@@ -170,35 +169,33 @@ def generate_trace(profile: HouseholdProfile) -> EventTable:
     return events
 
 
-def planted_to_csv(planted: list[PlantedEpisode]) -> str:
-    return csv_text(
-        TRUTH_CSV_COLUMNS,
-        ([p.day, p.category, p.start.strftime(TIMESTAMP_FORMAT), repr(p.duration_min)] for p in planted),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Profile file format: one `key = value` per line; blank lines and
 # `#` comments ignored. Each `category = NAME` line opens a new category
-# block whose subsequent keys belong to that category.
+# block whose subsequent keys belong to that category. The keys are the
+# fields of HouseholdProfile but its categories and of MealCategory but
+# its name, each read by its declared type; a field with a default may be
+# left out.
 # ---------------------------------------------------------------------------
 
-_PROFILE_KEYS = {"household_id": str, "days": int, "noise_events_per_day": float, "seed": int}
-_CATEGORY_KEYS = {
-    "start_hour_mean": float,
-    "start_hour_sd": float,
-    "duration_mean_min": float,
-    "duration_sd_min": float,
-    "daily_probability": float,
-    "events_per_minute": float,
-}
+
+def _keys(record_type: type, stated_apart: str) -> dict[str, type]:
+    """The profile keys of `record_type`, each with its type: every field
+    but `stated_apart`, which the format states in another way."""
+    return {key: kind for key, kind in field_types(record_type).items() if key != stated_apart}
+
+
+def _first_missing(record_type: type, given) -> str | None:
+    """The first field of `record_type` with no default that is not among
+    the names `given`."""
+    return next((f.name for f in fields(record_type) if f.default is MISSING and f.name not in given), None)
 
 
 def parse_profile(text: str) -> HouseholdProfile:
     """Parse the flat key-value profile format; errors name the field."""
+    profile_keys, category_keys = _keys(HouseholdProfile, "categories"), _keys(MealCategory, "name")
     top: dict = {}
     categories: list[dict] = []
-    current: dict | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -209,41 +206,29 @@ def parse_profile(text: str) -> HouseholdProfile:
         key = key.strip()
         value = value.strip()
         if key == "category":
-            current = {"name": value}
-            categories.append(current)
-        elif key in _CATEGORY_KEYS:
-            if current is None:
+            categories.append({"name": value})
+            continue
+        if key in category_keys:
+            if not categories:
                 raise ValueError(f"line {line_no}: {key} outside a category block")
-            try:
-                current[key] = _CATEGORY_KEYS[key](value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: bad value for {key}: {value!r}") from None
-        elif key in _PROFILE_KEYS:
-            try:
-                top[key] = _PROFILE_KEYS[key](value)
-            except ValueError:
-                raise ValueError(f"line {line_no}: bad value for {key}: {value!r}") from None
+            block, kind = categories[-1], category_keys[key]
+        elif key in profile_keys:
+            block, kind = top, profile_keys[key]
         else:
             raise ValueError(f"line {line_no}: unknown key: {key}")
+        try:
+            block[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"line {line_no}: bad value for {key}: {value!r}") from None
 
-    for required in ("household_id", "days"):
-        if required not in top:
-            raise ValueError(f"missing required profile key: {required}")
+    if missing := _first_missing(HouseholdProfile, {*top, "categories"}):
+        raise ValueError(f"missing required profile key: {missing}")
     if not categories:
         raise ValueError("profile defines no categories")
-    cats = []
     for cat in categories:
-        missing = set(_CATEGORY_KEYS) - {"events_per_minute"} - set(cat)
-        if missing:
-            raise ValueError(f"category {cat['name']}: missing key: {sorted(missing)[0]}")
-        cats.append(MealCategory(**cat))
-    profile = HouseholdProfile(
-        household_id=top["household_id"],
-        categories=tuple(cats),
-        days=top["days"],
-        noise_events_per_day=top.get("noise_events_per_day", 0.0),
-        seed=top.get("seed", 0),
-    )
+        if missing := _first_missing(MealCategory, cat):
+            raise ValueError(f"category {cat['name']}: missing key: {missing}")
+    profile = HouseholdProfile(categories=tuple(MealCategory(**cat) for cat in categories), **top)
     profile.validate()
     return profile
 
@@ -253,16 +238,31 @@ def load_profile(path) -> HouseholdProfile:
         return parse_profile(fh.read())
 
 
+def _value_text(record, key: str, kind: type) -> str:
+    """The text of field `key` of `record`, of declared type `kind`, in a
+    profile. A value that would read back as another is a ValueError
+    naming the field: a `#` opens a comment, a line break ends the line,
+    whitespace at either end is stripped, and the text is read as `kind`."""
+    value = getattr(record, key)
+    text = f"{value}"
+    try:
+        same = kind(text) == value
+    except ValueError:
+        same = False
+    if not same or "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"{type(record).__name__}.{key} = {value!r} cannot be written to a profile: "
+                         f"it would not read back as the same {kind.__name__}")
+    return text
+
+
 def format_profile(profile: HouseholdProfile) -> str:
-    lines = [
-        f"household_id = {profile.household_id}",
-        f"days = {profile.days}",
-        f"noise_events_per_day = {profile.noise_events_per_day}",
-        f"seed = {profile.seed}",
-    ]
+    """The profile text that `parse_profile` reads back as `profile`;
+    raises ValueError for an invalid profile or a value the format cannot
+    hold (see `_value_text`)."""
+    profile.validate()
+    profile_keys, category_keys = _keys(HouseholdProfile, "categories"), _keys(MealCategory, "name")
+    lines = [f"{key} = {_value_text(profile, key, kind)}" for key, kind in profile_keys.items()]
     for cat in profile.categories:
-        lines.append("")
-        lines.append(f"category = {cat.name}")
-        for key in _CATEGORY_KEYS:
-            lines.append(f"{key} = {getattr(cat, key)}")
+        lines += ["", f"category = {_value_text(cat, 'name', str)}"]
+        lines += [f"{key} = {_value_text(cat, key, kind)}" for key, kind in category_keys.items()]
     return "\n".join(lines) + "\n"

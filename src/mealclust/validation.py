@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from mealclust.events import csv_text
 from mealclust.features import FeatureMatrix
 from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array
 from mealclust.gmm import GmmModel, gmm_fits
@@ -24,8 +23,6 @@ from mealclust.dbscan import DbscanResult, dbscan_fits, NOISE, DEFAULT_MIN_PTS
 DEFAULT_K_RANGE = range(2, 11)
 DEFAULT_G_RANGE = range(2, 11)
 DEFAULT_EPS_VALUES = [float(e) for e in range(1, 11)]
-
-PLOT_CSV_COLUMNS = ("param", "dbi", "n_clusters", "n_noise")
 
 
 class UndefinedDbiError(ValueError):
@@ -73,13 +70,6 @@ class SweepReport:
             entries=entries,
             best=SweepEntry(**d["best"]),
             seed=d["seed"],
-        )
-
-    def plot_csv(self) -> str:
-        """Plot-data CSV; undefined DBI renders as an empty field."""
-        return csv_text(
-            PLOT_CSV_COLUMNS,
-            ([e.param, "" if e.dbi is None else repr(e.dbi), e.n_clusters, e.n_noise] for e in self.entries),
         )
 
 

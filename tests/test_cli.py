@@ -13,11 +13,11 @@ import pytest
 
 from mealclust import gmm, kmeans, pipeline
 from mealclust.cli import build_parser, main
-from mealclust.episodes import read_episodes_csv
-from mealclust.events import events_to_csv, parse_events
+from mealclust.episodes import ActivityEpisode
+from mealclust.events import SensorEvent, parse_events, records_from_csv, records_to_csv
 from mealclust.gmm import FitError
 from mealclust.synth import default_profile, format_profile, generate_trace
-from mealclust.validation import SweepReport
+from mealclust.validation import SweepEntry, SweepReport
 from test_golden import sha256_tree
 
 
@@ -91,16 +91,19 @@ def test_run_on_synth_profile(tmp_path, profile_path):
     assert summary["algorithms"]["gmm"]["categories"]
 
     # every artifact parses with the library's own readers
-    episodes = read_episodes_csv((hh / "episodes.csv").read_text())
+    episodes = records_from_csv(ActivityEpisode, (hh / "episodes.csv").read_text())
     assert len(episodes) == summary["n_episodes"]
     for algo in ("kmeans", "gmm", "dbscan"):
         report = SweepReport.from_dict(json.loads((hh / f"sweep_{algo}.json").read_text()))
         assert report.algorithm == algo
-        plot = (hh / f"{algo}_dbi.csv").read_text().splitlines()
-        assert plot[0] == "param,dbi,n_clusters,n_noise"
-        assert len(plot) == len(report.entries) + 1
-    cats = (hh / "categories.csv").read_text().splitlines()
-    assert cats[0] == "category,mean_duration_min,weight,count"
+        plot = (hh / f"{algo}_dbi.csv").read_text()
+        assert plot.splitlines()[0] == "param,dbi,n_clusters,n_noise"
+        assert len(plot.splitlines()) == len(report.entries) + 1
+        assert records_from_csv(SweepEntry, plot) == report.entries
+    cats = (hh / "categories.csv").read_text()
+    assert cats.splitlines()[0] == "category,mean_duration_min,weight,count"
+    rows = records_from_csv(gmm.CategoryRow, cats)
+    assert [dataclasses.asdict(row) for row in rows] == summary["algorithms"]["gmm"]["categories"]
 
 
 def test_run_on_csv_input(tmp_path, profile_path):
@@ -160,6 +163,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["run"])  # missing required --input/--synth-profile and --out
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--k-range", "2-5", "argument --k-range: expected A..B, got '2-5'"),
+        ("--g-range", "2..x", "argument --g-range: expected A..B, got '2..x'"),
+        ("--eps", "1,x", "argument --eps: expected comma-separated reals, got '1,x'"),
+    ],
+)
+def test_flag_syntax_errors_are_usage_errors(tmp_path, profile_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--synth-profile", str(profile_path), flag, value, "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.endswith(f"mealclust run: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -332,7 +352,7 @@ def test_line_endings_give_identical_artifacts(tmp_path, profile_path):
 
 
 def test_non_utf8_input_names_its_line(tmp_path, capsys):
-    lines = events_to_csv(generate_trace(default_profile(days=60))).encode().splitlines(keepends=True)
+    lines = records_to_csv(SensorEvent, generate_trace(default_profile(days=60))).encode().splitlines(keepends=True)
     lines[3000] = lines[3000][:20] + b"\xff" + lines[3000][21:]
     assert sum(map(len, lines[:3000])) > 64 * 1024  # well past the decoder's first buffer
     csv_path = tmp_path / "input.csv"
@@ -398,7 +418,7 @@ def test_huge_range_fails_only_the_household(tmp_path, profile_path, capsys, fla
     # the bound is checked before the range is listed, so no MemoryError ends the run
     out = tmp_path / "out"
     assert run_cli("run", "--synth-profile", profile_path, flag, "2..4000000000", "--out", out) == 3
-    n = len(read_episodes_csv((out / "house-1" / "episodes.csv").read_text()))
+    n = len(records_from_csv(ActivityEpisode, (out / "house-1" / "episodes.csv").read_text()))
     assert capsys.readouterr().err == f"mealclust: pipeline error: house-1: {name} must lie within [2, {n - 1}]\n"
 
 
@@ -426,6 +446,34 @@ def test_per_household_failure_isolation(tmp_path, profile_path):
     code = run_cli("run", "--input", merged, "--out", out)
     assert code == 3  # h2 fails
     assert (out / "house-1" / "summary.json").exists()  # house-1 still processed
+
+
+def test_household_without_episodes_fails_alone(tmp_path, profile_path, capsys):
+    # h2's one kitchen event is a meal event but no episode
+    gen = tmp_path / "gen"
+    run_cli("generate", "--profile", profile_path, "--out", gen)
+    merged = tmp_path / "merged.csv"
+    merged.write_text((gen / "trace.csv").read_text() + "2024-01-01T08:00:00,h2,s1,motion,kitchen,1\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", merged, "--out", out) == 3
+    assert capsys.readouterr().err == "mealclust: pipeline error: h2: no episodes\n"
+    assert sorted(p.name for p in out.iterdir()) == ["house-1"]
+    assert sorted(p.name for p in (out / "house-1").iterdir()) == FULL_ARTIFACTS
+
+
+def test_dbscan_sweep_without_clusters_keeps_the_other_artifacts(tmp_path, profile_path, capsys):
+    # at eps 0.0001 no two episodes are neighbours, so every DBSCAN entry is all noise
+    out = tmp_path / "out"
+    assert run_cli("run", "--synth-profile", profile_path, "--eps", "0.0001", "--out", out) == 3
+    assert capsys.readouterr().err == "mealclust: pipeline error: house-1: no valid clustering in range\n"
+    hh = out / "house-1"
+    assert sorted(p.name for p in hh.iterdir()) == sorted(
+        set(FULL_ARTIFACTS) - {"sweep_dbscan.json", "dbscan_dbi.csv"}
+    )
+    summary = json.loads((hh / "summary.json").read_text())
+    assert summary["algorithms"]["dbscan"] is None
+    assert set(summary["algorithms"]) == {"kmeans", "gmm", "dbscan"}
+    assert summary["n_episodes"] == len(records_from_csv(ActivityEpisode, (hh / "episodes.csv").read_text()))
 
 
 def test_household_id_cannot_leave_the_output_directory(tmp_path, profile_path, capsys):

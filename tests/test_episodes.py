@@ -6,11 +6,16 @@ from hypothesis import given, settings, strategies as st
 from mealclust.episodes import (
     ActivityEpisode,
     check_thresholds,
-    episodes_to_csv,
-    read_episodes_csv,
     segment_episodes,
 )
-from mealclust.events import EventTable, SensorEvent, filter_meal_locations, group_by_household
+from mealclust.events import (
+    EventTable,
+    SensorEvent,
+    filter_meal_locations,
+    group_by_household,
+    records_from_csv,
+    records_to_csv,
+)
 from mealclust.synth import default_profile, generate_trace
 
 T0 = datetime(2024, 3, 1, 12, 0, 0)
@@ -74,7 +79,7 @@ def assert_segments_like_reference(events, **thresholds):
     assert episodes == expected
     # exact floats, as Python floats (the CSV writes them through repr)
     assert [(type(e.duration_min), type(e.start_hour)) for e in episodes] == [(float, float)] * len(expected)
-    assert episodes_to_csv(episodes) == episodes_to_csv(expected)
+    assert records_to_csv(ActivityEpisode, episodes) == records_to_csv(ActivityEpisode, expected)
 
 
 def test_empty_events():
@@ -162,7 +167,7 @@ def test_gap_exactly_threshold_splits():
 def test_csv_round_trip():
     events = [ev(m) for m in (0, 2, 4, 40, 43)]
     eps = segment_episodes(events, min_duration_min=0, min_events=1)
-    assert read_episodes_csv(episodes_to_csv(eps)) == eps
+    assert records_from_csv(ActivityEpisode, records_to_csv(ActivityEpisode, eps)) == eps
 
 
 @pytest.mark.parametrize("gap", [0.1, 0.5, 1, 7.3, 10, 10.0, 29.999, 45.5])

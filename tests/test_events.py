@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 from unittest import mock
@@ -18,12 +19,12 @@ from mealclust.events import (
     Rejection,
     SchemaError,
     SensorEvent,
-    events_to_csv,
     filter_meal_locations,
     group_by_household,
     parse_events,
     parse_timestamp,
-    rejections_to_csv,
+    records_from_csv,
+    records_to_csv,
 )
 from mealclust.synth import default_profile, generate_trace
 
@@ -258,16 +259,17 @@ def test_filter_union_property():
 def test_csv_round_trip():
     text = HEADER + row("2024-03-01T08:00:00") + row("2024-03-01T09:30:12", loc="dining_room", value="0")
     events, _ = parse_events(text)
-    reparsed, rejections = parse_events(events_to_csv(events))
+    reparsed, rejections = parse_events(records_to_csv(SensorEvent, events))
     assert reparsed == events
     assert not rejections
 
 
 def test_rejections_csv():
     _, rejections = parse_events(HEADER + row("bogus"))
-    text = rejections_to_csv(rejections)
+    text = records_to_csv(Rejection, rejections)
     assert text.splitlines()[0] == "line,reason"
     assert text.splitlines()[1].startswith("2,")
+    assert records_from_csv(Rejection, text) == rejections
 
 
 def test_default_locations():
@@ -356,7 +358,7 @@ def test_timestamp_edges_together_match_reference():
 
 
 def test_bundled_trace_matches_reference():
-    text = events_to_csv(generate_trace(default_profile()))
+    text = records_to_csv(SensorEvent, generate_trace(default_profile()))
     assert_parses_like_reference(text)
 
 
@@ -504,9 +506,8 @@ def test_parse_pauses_the_collector_and_restores_the_callers_state(monkeypatch, 
 
 
 def test_crlf_rows_take_the_byte_path(monkeypatch):
-    """A CRLF log sends `_parse_chunk` only the rows that an LF log sends it:
-    here the one padded timestamp. A bare-CR log has no "\\n" to cut blocks
-    at, so its first line is the whole input and csv.reader reads every row."""
+    """A CRLF or a bare-CR log sends `_parse_chunk` only the rows that an
+    LF log sends it: here the one padded timestamp."""
     real_parse_chunk = events_mod._parse_chunk
     sent = []
 
@@ -522,7 +523,24 @@ def test_crlf_rows_take_the_byte_path(monkeypatch):
     for ending in ("\r\n", "\r"):
         sent.clear()
         assert parse_events(text.replace("\n", ending).encode()) == lf
-        assert sent == ([padded] if ending == "\r\n" else [r.split(",") for r in text.splitlines()[1:]])
+        assert sent == [padded]
+
+
+def test_bare_cr_log_parses_in_blocks_like_its_lf_copy(monkeypatch):
+    # a bare-CR log is cut into blocks at its "\r"s, so its parse holds no
+    # more of the input at once than the parse of its LF copy
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 16 * 1024)
+    lf = records_to_csv(SensorEvent, generate_trace(default_profile(days=60))).encode()
+    parsed, peaks = [], []
+    for data in (lf, lf.replace(b"\n", b"\r")):
+        tracemalloc.start()
+        try:
+            parsed.append(parse_events(data))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert parsed[0] == parsed[1]
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_table_slicing_and_indexing():
@@ -567,11 +585,11 @@ _PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(_events, max_size=40))
 def test_csv_round_trip_property(events):
     ordered = sorted(events, key=lambda e: e.timestamp)
-    text = events_to_csv(events)
+    text = records_to_csv(SensorEvent, events)
     parsed, rejections = parse_events(text)
     assert not rejections
     assert parsed == ordered
-    assert parse_events(events_to_csv(parsed))[0] == parsed
+    assert parse_events(records_to_csv(SensorEvent, parsed))[0] == parsed
     assert (parsed, rejections) == reference_parse_events(text)
 
 

@@ -1,21 +1,30 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mealclust.episodes import segment_episodes
-from mealclust.events import epoch_seconds, events_to_csv, filter_meal_locations, parse_events
+from mealclust.events import (
+    SensorEvent,
+    epoch_seconds,
+    filter_meal_locations,
+    parse_events,
+    records_from_csv,
+    records_to_csv,
+)
 from mealclust.synth import (
     BASE_DATE,
     NOISE_LOCATIONS,
     HouseholdProfile,
     MealCategory,
+    PlantedEpisode,
     default_profile,
     format_profile,
     generate_trace,
     generate_with_truth,
     parse_profile,
-    planted_to_csv,
 )
 
 
@@ -92,14 +101,14 @@ def test_trace_is_time_sorted_and_binary():
 
 def test_determinism_byte_identical():
     profile = default_profile(days=20, seed=99)
-    a = events_to_csv(generate_trace(profile))
-    b = events_to_csv(generate_trace(profile))
+    a = records_to_csv(SensorEvent, generate_trace(profile))
+    b = records_to_csv(SensorEvent, generate_trace(profile))
     assert a == b
 
 
 def test_different_seeds_differ():
-    a = events_to_csv(generate_trace(default_profile(days=20, seed=1)))
-    b = events_to_csv(generate_trace(default_profile(days=20, seed=2)))
+    a = records_to_csv(SensorEvent, generate_trace(default_profile(days=20, seed=1)))
+    b = records_to_csv(SensorEvent, generate_trace(default_profile(days=20, seed=2)))
     assert a != b
 
 
@@ -113,7 +122,7 @@ def test_planted_truth_values_sane():
 
 def test_trace_round_trips_through_parser():
     events = generate_trace(default_profile(days=5, seed=11))
-    reparsed, rejections = parse_events(events_to_csv(events))
+    reparsed, rejections = parse_events(records_to_csv(SensorEvent, events))
     assert not rejections
     assert reparsed == events
 
@@ -128,14 +137,78 @@ def test_invalid_profile_rejected():
 
 def test_planted_csv_has_header():
     _, planted = generate_with_truth(one_category_profile(days=3))
-    lines = planted_to_csv(planted).splitlines()
+    text = records_to_csv(PlantedEpisode, planted)
+    lines = text.splitlines()
     assert lines[0] == "day,category,start,duration_min"
     assert len(lines) == 4
+    assert records_from_csv(PlantedEpisode, text) == planted
 
 
 def test_profile_format_round_trip():
     profile = default_profile(days=42, seed=17)
     assert parse_profile(format_profile(profile)) == profile
+
+
+@pytest.mark.parametrize(
+    "household_id, name, field",
+    [
+        ("flat#2", "lunch", "HouseholdProfile.household_id"),  # would read back as 'flat'
+        (" padded ", "lunch", "HouseholdProfile.household_id"),  # would read back as 'padded'
+        ("a\nb", "lunch", "HouseholdProfile.household_id"),
+        ("h1", "lunch#1", "MealCategory.name"),
+        ("h1", "tea\r", "MealCategory.name"),
+        ("h1", "tea\u2028time", "MealCategory.name"),
+    ],
+)
+def test_format_profile_rejects_a_value_that_would_read_back_changed(household_id, name, field):
+    profile = one_category_profile()
+    profile = replace(profile, household_id=household_id, categories=(replace(profile.categories[0], name=name),))
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} = .* cannot be written to a profile"):
+        format_profile(profile)
+
+
+@pytest.mark.parametrize("field, value", [("days", 3.5), ("seed", True)])
+def test_format_profile_rejects_a_number_of_another_type(field, value):
+    # int("3.5") and int("True") fail, so neither would read back
+    with pytest.raises(ValueError, match=rf"^HouseholdProfile.{field} = .* read back as the same int"):
+        format_profile(replace(one_category_profile(), **{field: value}))
+
+
+def test_format_profile_rejects_an_invalid_profile():
+    with pytest.raises(ValueError, match="household_id must be non-empty"):
+        format_profile(replace(one_category_profile(), household_id=""))
+
+
+_PROFILE_TEXT = st.text(st.one_of(st.sampled_from("ab #=\n\r\t\x0b\x85\u2028é"), st.characters()), max_size=6)
+_CATEGORIES = st.builds(
+    MealCategory,
+    name=_PROFILE_TEXT,
+    start_hour_mean=st.floats(0, 23.99),
+    start_hour_sd=st.floats(0.01, 3),
+    duration_mean_min=st.floats(10, 120),
+    duration_sd_min=st.floats(0.01, 3),
+    daily_probability=st.floats(0, 1),
+    events_per_minute=st.floats(0.01, 10),
+)
+_PROFILES = st.builds(
+    HouseholdProfile,
+    household_id=_PROFILE_TEXT.filter(bool),
+    categories=st.lists(_CATEGORIES, min_size=1, max_size=3).map(tuple),
+    days=st.integers(0, 10_000),
+    noise_events_per_day=st.floats(0, 1e6),
+    seed=st.integers(0, 2**64),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(profile=_PROFILES)
+def test_profile_format_round_trip_property(profile):
+    texts = [profile.household_id, *(cat.name for cat in profile.categories)]
+    if all("#" not in t and t == t.strip() and len(t.splitlines()) <= 1 for t in texts):
+        assert parse_profile(format_profile(profile)) == profile
+    else:
+        with pytest.raises(ValueError, match="cannot be written to a profile"):
+            format_profile(profile)
 
 
 def test_profile_parse_errors_name_the_field():

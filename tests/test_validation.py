@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mealclust.dbscan import dbscan_fit
+from mealclust.events import records_from_csv, records_to_csv
 from mealclust.features import FeatureMatrix
 from mealclust.gmm import gmm_fit
 from mealclust.kmeans import kmeans_fit
 from mealclust.validation import (
+    SweepEntry,
     SweepError,
     SweepReport,
     UndefinedDbiError,
@@ -334,6 +336,8 @@ def test_plot_csv_format():
         rng.normal([50, 50], 0.3, size=(30, 2)),
     ])
     report = sweep_dbscan(matrix(data), eps_values=[0.01, 1.0], min_pts=4)
-    lines = report.plot_csv().splitlines()
+    text = records_to_csv(SweepEntry, report.entries)
+    lines = text.splitlines()
     assert lines[0] == "param,dbi,n_clusters,n_noise"
     assert lines[1].split(",")[1] == ""  # undefined dbi -> empty field
+    assert records_from_csv(SweepEntry, text) == report.entries  # and back to None
