@@ -36,7 +36,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class FitError(RuntimeError):
-    """EM fit collapsed numerically."""
+    """EM fit collapsed numerically. `start` is the index, in the starts
+    given to `gmm_fits`, of the fit that collapsed."""
+
+    def __init__(self, message: str, start: int | None = None) -> None:
+        super().__init__(message)
+        self.start = start
 
 
 @dataclass
@@ -253,7 +258,8 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
     below TOL or after MAX_ITER iterations. Hard labels are the per-point
     argmax responsibility (ties resolve to the lowest component index). A
     collapse raises the FitError that fitting each start in turn would
-    raise: that of the first start whose fit collapses.
+    raise: that of the first start whose fit collapses, whose index in
+    `starts` it holds as `start`.
     """
     data = _as_array(m)
     n, d = data.shape
@@ -294,7 +300,7 @@ def gmm_fits(m: FeatureMatrix | np.ndarray, starts: Sequence[KMeansModel]) -> li
             fit.iterations += not fit.done
             if not finite[i]:
                 # every later fit is moot: this error or an earlier fit's is raised
-                error = FitError(f"numerical collapse at iteration {fit.iterations}")
+                error = FitError(f"numerical collapse at iteration {fit.iterations}", fit.order)
                 break
             fit.ll_trace.append(lls[i])
             resp_t = log_wd[lo:hi]

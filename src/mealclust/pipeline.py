@@ -7,6 +7,11 @@ cannot be written, a worker process that dies) is reported but never
 aborts the others. With more than one usable CPU and household, the
 households run in forked worker processes, one per CPU; the artifacts,
 messages and exit code are those of running them one after another.
+
+`parallel.cpu_budget` owns the CPU count: a pool worker gets the run's
+CPUs divided by the pool's size, so with no more CPUs than households it
+fits its GMM sweep in one process, while a household run in this process
+spreads its sweep's g range over every CPU (see `validation.sweep_gmm`).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from mealclust import features as features_mod
 from mealclust import synth as synth_mod
 from mealclust.events import SchemaError, SensorEvent, records_to_csv
 from mealclust.gmm import CategoryRow, FitError, category_summary
+from mealclust.parallel import cpu_budget, set_cpu_budget
 from mealclust.validation import (
     DEFAULT_EPS_VALUES,
     DEFAULT_G_RANGE,
@@ -169,20 +175,6 @@ def _household_outcome(household_id: str, hh_events, config: RunConfig, out_dir:
     return None
 
 
-def _pool_size(n_households: int) -> int:
-    """Worker processes for `n_households`: one per usable CPU, at most one
-    per household. Fewer than 2 means the households run in this process."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(cpus, n_households)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return workers
-
-
 _DIED = object()  # the outcome of a household whose worker pool broke
 
 
@@ -190,8 +182,9 @@ def _in_pool(jobs: list[tuple], workers: int) -> list:
     """The `_household_outcome` of each job, from `workers` forked processes.
 
     A job reads `_DIED` when a worker died before it finished, its own or
-    another: a broken pool fails every unfinished job. The pool is shut
-    down, its workers joined, before this returns or raises.
+    another: a broken pool fails every unfinished job. Each worker may use
+    its share of this process's CPUs. The pool is shut down, its workers
+    joined, before this returns or raises.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -199,7 +192,8 @@ def _in_pool(jobs: list[tuple], workers: int) -> list:
 
     # The start method is explicit: Python 3.14 moves the Linux default
     # away from fork, and spawn would re-import numpy in every worker.
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=set_cpu_budget, initargs=(cpu_budget() // workers,))
     try:
         futures = [pool.submit(_household_outcome, *job) for job in jobs]
         outcomes = []
@@ -216,11 +210,12 @@ def _in_pool(jobs: list[tuple], workers: int) -> list:
 def _run_households(jobs: list[tuple]) -> list[str | None]:
     """The `_household_outcome` of each job, in order.
 
-    Jobs run in this process when `_pool_size` gives one worker, else in a
-    pool. Each job whose pool broke runs again alone in a fresh worker, so
-    a worker that dies fails only its own household.
+    Jobs run in this process when there is one CPU or one job, else in a
+    pool of one worker per CPU, at most one per job. Each job whose pool
+    broke runs again alone in a fresh worker, so a worker that dies fails
+    only its own household.
     """
-    workers = _pool_size(len(jobs))
+    workers = min(cpu_budget(), len(jobs))
     if workers < 2:
         return [_household_outcome(*job) for job in jobs]
     outcomes = _in_pool(jobs, workers)

@@ -6,6 +6,12 @@ centroid distance. Sweeps fit one model per parameter value and select
 the minimum-DBI entry, breaking ties toward the smallest parameter;
 the report keeps that entry's fitted model. Each GMM starts from the
 K-Means fit of its g, which a FeatureMatrix keeps for both sweeps.
+
+The GMM sweep splits its g range into one share per CPU this process may
+use (`parallel.cpu_budget`); this process fits one share and forked
+children the others, each share in one lockstep `gmm_fits` call. Every
+fit equals a lone fit bit for bit, so the report is the same bytes
+whatever the number of shares.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ import numpy as np
 
 from mealclust.features import FeatureMatrix
 from mealclust.kmeans import KMeansModel, kmeans_fit, _as_array
-from mealclust.gmm import GmmModel, gmm_fits
+from mealclust.gmm import FitError, GmmModel, gmm_fits
 from mealclust.dbscan import DbscanResult, dbscan_fits, NOISE, DEFAULT_MIN_PTS
+from mealclust.parallel import cpu_budget, fork_map
 
 DEFAULT_K_RANGE = range(2, 11)
 DEFAULT_G_RANGE = range(2, 11)
@@ -184,24 +191,68 @@ def sweep_kmeans(
     return _sweep(m, "kmeans", zip(ks, _kmeans_fits(m, ks, seed)), seed, household_id)
 
 
+def _shares(gs: list[int], count: int) -> list[list[int]]:
+    """The indices of `gs` in `count` shares balanced on the sum of g
+    (longest processing time first): each g, largest first, goes to the
+    share whose sum is smallest so far. Each share keeps the order of gs."""
+    shares: list[list[int]] = [[] for _ in range(count)]
+    sums = [0] * count
+    for i in sorted(range(len(gs)), key=lambda i: -gs[i]):
+        smallest = sums.index(min(sums))
+        shares[smallest].append(i)
+        sums[smallest] += gs[i]
+    return [sorted(share) for share in shares]
+
+
+def _fit_share(m: FeatureMatrix | np.ndarray, starts: list[KMeansModel]) -> list[GmmModel] | FitError:
+    """The lockstep fits of one share, or the collapse that ended them."""
+    try:
+        return gmm_fits(m, starts)
+    except FitError as exc:
+        return exc
+
+
+def _gmm_fits_in_shares(m: FeatureMatrix | np.ndarray, starts: list[KMeansModel]) -> list[GmmModel]:
+    """`gmm_fits(m, starts)`, fitted as one lockstep share per CPU of the
+    budget, all but the first share in forked children.
+
+    A collapse raises the FitError of one lockstep over every start: that
+    of the first start whose fit collapses, in whichever share it was.
+    """
+    shares = _shares([km.k for km in starts], min(cpu_budget(), len(starts)))
+    outcomes = fork_map(lambda share: _fit_share(m, [starts[i] for i in share]), shares)
+    collapses = [(share[out.start], out) for share, out in zip(shares, outcomes) if isinstance(out, FitError)]
+    if collapses:
+        raise min(collapses, key=lambda collapse: collapse[0])[1]
+    fitted = {i: model for share, fits in zip(shares, outcomes) for i, model in zip(share, fits)}
+    return [fitted[i] for i in range(len(starts))]
+
+
 def sweep_gmm(
     m: FeatureMatrix | np.ndarray,
     g_range: range = DEFAULT_G_RANGE,
     seed: int = 0,
     household_id: str = "",
 ) -> SweepReport:
-    """One GMM per g, all fitted in one lockstep `gmm_fits` call, + DBI
-    on hard labels per g.
+    """One GMM per g + DBI on hard labels per g. The g range is split
+    into one share per CPU of `parallel.cpu_budget()`, balanced on the
+    sum of g; each share is one lockstep `gmm_fits` call, the first fitted
+    in this process and the others in forked children (this process fits
+    the share of a child that dies).
 
     Each fit starts from the K-Means fit of `m` at k = g with this seed,
     the one a K-Means sweep of the same matrix and seed uses (see
-    `FeatureMatrix`).
+    `FeatureMatrix`); those fits are made before any fork. Each fit
+    equals a lone fit bit for bit, so the report does not depend on the
+    shares, and a collapse raises the FitError of the first collapsing g,
+    as one lockstep over the whole range does.
 
     Components left empty by the hard assignment are simply absent from
     the labeling, so an entry's n_clusters may be below its g.
     """
     gs = _param_range(g_range, len(_as_array(m)), "g_range")
-    return _sweep(m, "gmm", zip(gs, gmm_fits(m, _kmeans_fits(m, gs, seed))), seed, household_id)
+    models = _gmm_fits_in_shares(m, _kmeans_fits(m, gs, seed))
+    return _sweep(m, "gmm", zip(gs, models), seed, household_id)
 
 
 def sweep_dbscan(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mealclust import gmm, kmeans, pipeline
+from mealclust import gmm, kmeans, pipeline, validation
 from mealclust.cli import build_parser, main
 from mealclust.episodes import ActivityEpisode
 from mealclust.events import SensorEvent, parse_events, records_from_csv, records_to_csv
@@ -396,7 +396,8 @@ def count_fits(monkeypatch, real_fit, param):
 
 
 def test_each_gmm_is_fitted_once_per_g(tmp_path, profile_path, monkeypatch):
-    # the whole g range goes to one lockstep gmm_fits call per household
+    # with one CPU the whole g range goes to one lockstep gmm_fits call per household
+    set_cpus(monkeypatch, 1)
     fitted_starts = count_fits(monkeypatch, gmm.gmm_fits, "starts")
     config = pipeline.RunConfig(synth_profile_path=profile_path, g_range=range(2, 11), out_dir=tmp_path / "out")
     assert pipeline.run_pipeline(config).exit_code == 0
@@ -617,6 +618,51 @@ def test_no_worker_outlives_the_run(tmp_path, profile_path, monkeypatch):
     with pytest.raises(RuntimeError, match="not a household failure"):
         run_cli("run", "--input", merged, "--out", tmp_path / "aborted")
     assert multiprocessing.active_children() == []
+
+
+def log_gmm_fits(monkeypatch, path):
+    """Make every gmm_fits call of a sweep, in any process, append its pid
+    and its sorted g values to `path`; returns a reader of those lines."""
+    real_fits = gmm.gmm_fits
+
+    def logging_fits(m, starts):
+        with open(path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), sorted(km.k for km in starts)]) + "\n")
+        return real_fits(m, starts)
+
+    monkeypatch.setattr(validation, "gmm_fits", logging_fits)
+    return lambda: [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@needs_fork
+def test_each_gmm_is_fitted_once_per_g_across_processes(tmp_path, profile_path, monkeypatch):
+    # with two CPUs one household's g range goes to two lockstep calls, one
+    # in this process and one in a forked child
+    set_cpus(monkeypatch, 2)
+    calls = log_gmm_fits(monkeypatch, tmp_path / "fits.jsonl")
+    config = pipeline.RunConfig(synth_profile_path=profile_path, g_range=range(2, 11), out_dir=tmp_path / "out")
+    assert pipeline.run_pipeline(config).exit_code == 0
+    pids, gs = zip(*calls())
+    assert sorted(gs) == [[2, 3, 6, 7, 10], [4, 5, 8, 9]]  # each g once
+    assert len(set(pids)) == 2 and os.getpid() in pids
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, households, shares", [
+    (3, HOUSEHOLDS, [list(range(2, 11))] * 3),
+    (4, HOUSEHOLDS[:2], [[2, 3, 6, 7, 10], [4, 5, 8, 9]] * 2),
+])
+def test_pool_workers_split_their_sweeps_over_their_share_of_cpus(tmp_path, profile_path, monkeypatch,
+                                                                   cpus, households, shares):
+    # each worker gets cpus // workers: 3 CPUs over 3 workers fit each
+    # household in one lockstep call; 4 CPUs over 2 workers, in two
+    merged = copies_of_house_1(tmp_path, profile_path, *households)
+    set_cpus(monkeypatch, cpus)
+    calls = log_gmm_fits(monkeypatch, tmp_path / "fits.jsonl")
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "out") == 0
+    pids, gs = zip(*calls())
+    assert sorted(gs) == sorted(shares)
+    assert os.getpid() not in pids
 
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(3, marks=needs_fork)])

@@ -1,13 +1,17 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mealclust import validation
 from mealclust.dbscan import dbscan_fit
-from mealclust.events import records_from_csv, records_to_csv
-from mealclust.features import FeatureMatrix
-from mealclust.gmm import gmm_fit
+from mealclust.episodes import segment_episodes
+from mealclust.events import filter_meal_locations, records_from_csv, records_to_csv
+from mealclust.features import MODE_DURATION_ONLY, FeatureMatrix, build_features, scale_features
+from mealclust.gmm import FitError, gmm_fit, gmm_fits
 from mealclust.kmeans import kmeans_fit
+from mealclust.synth import DEFAULT_CATEGORIES, HouseholdProfile, default_profile, generate_trace
 from mealclust.validation import (
     SweepEntry,
     SweepError,
@@ -18,7 +22,8 @@ from mealclust.validation import (
     sweep_gmm,
     sweep_kmeans,
 )
-from test_cli import count_fits
+from test_cli import count_fits, needs_fork, set_cpus
+from test_gmm import collapse_fits, profile_features, starts
 
 
 def matrix(data):
@@ -255,6 +260,97 @@ def test_kmeans_then_gmm_sweep_fits_each_k_once(monkeypatch):
     fresh = replace(m)
     assert fresh.kmeans_fits == {} and len(m.kmeans_fits) == 9
     assert fresh == m and repr(fresh) == repr(m)
+
+
+def test_g_range_shares_balance_the_sum_of_g():
+    # largest g first, each to the share with the smallest sum so far
+    assert validation._shares(list(range(2, 11)), 1) == [list(range(9))]
+    assert validation._shares(list(range(2, 11)), 2) == [[0, 1, 4, 5, 8], [2, 3, 6, 7]]
+    assert validation._shares(list(range(2, 11)), 3) == [[2, 3, 8], [1, 4, 7], [0, 5, 6]]
+    assert validation._shares([2], 1) == [[0]]
+
+
+def sweep_bytes(report):
+    """A GMM sweep report's serialised entries and its best fit, as bytes."""
+    params = report.best_model.params
+    return (report.to_dict(), report.best_model.labels.tobytes(),
+            params.weights.tobytes(), params.means.tobytes(), params.covariances.tobytes())
+
+
+@pytest.fixture(scope="module")
+def default_matrices():
+    found = segment_episodes(filter_meal_locations(generate_trace(default_profile(days=365))))
+    raw = build_features(found)
+    return {"raw": raw, "zscore": scale_features(raw, "zscore"), "duration": build_features(found, MODE_DURATION_ONLY)}
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case, g_range", [
+    pytest.param("raw", range(2, 11), id="raw"),
+    pytest.param("zscore", range(2, 11), id="zscore"),
+    pytest.param("duration", range(2, 11), id="duration"),
+    pytest.param("raw", range(2, 3), id="one g"),
+])
+def test_gmm_sweep_is_the_same_bytes_at_any_cpu_budget(default_matrices, monkeypatch, case, g_range):
+    m = default_matrices[case]
+    got = {}
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        got[cpus] = sweep_bytes(sweep_gmm(m, g_range=g_range, seed=0, household_id="house-1"))
+    assert got[2] == got[1] and got[3] == got[1]
+    no_child_is_left()
+
+
+@pytest.fixture(scope="module")
+def fleet_matrix():
+    return profile_features(HouseholdProfile("hh-01", DEFAULT_CATEGORIES, days=60, seed=100_000))
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_sweep_collapse_raises_the_error_of_the_first_collapsing_g(fleet_matrix, monkeypatch, cpus):
+    # at 2 CPUs g = 3 is in this process's share and g = 5 in the child's;
+    # at 3 CPUs each is in a child. g = 5 collapses sooner, g = 3 first in g.
+    m, g_range = fleet_matrix, range(2, 7)
+    at = {5: 4, 3: 9}
+    seen = collapse_fits(monkeypatch, at)
+    set_cpus(monkeypatch, cpus)
+    share_of = {g_range[i]: s for s, share in enumerate(validation._shares(list(g_range), cpus)) for i in share}
+    assert (share_of[3] != share_of[5]) == (cpus > 1)
+    with pytest.raises(FitError) as swept:
+        sweep_gmm(m, g_range=g_range, seed=3)
+    no_child_is_left()
+    for g in at:
+        seen[g] = 0
+    with pytest.raises(FitError) as lockstep:
+        gmm_fits(m, starts(m, g_range, 3))
+    assert str(swept.value) == str(lockstep.value) == f"numerical collapse at iteration {at[3]}"
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("death", ["exit", "raise"])
+def test_a_share_whose_child_dies_is_fitted_in_this_process(fleet_matrix, monkeypatch, cpus, death):
+    set_cpus(monkeypatch, 1)
+    want = sweep_bytes(sweep_gmm(fleet_matrix, seed=3))
+    parent = os.getpid()
+    real_fits = validation.gmm_fits
+
+    def dying_fits(m, fit_starts):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(9)
+            raise RuntimeError("a child's own failure")
+        return real_fits(m, fit_starts)
+
+    monkeypatch.setattr(validation, "gmm_fits", dying_fits)
+    set_cpus(monkeypatch, cpus)
+    assert sweep_bytes(sweep_gmm(fleet_matrix, seed=3)) == want
+    no_child_is_left()
 
 
 def test_huge_range_fails_before_it_is_listed():
