@@ -33,14 +33,10 @@ def cpu_budget() -> int:
     included."""
     if _budget is not None:
         return _budget
+    if not hasattr(os, "fork"):
+        return 1
     affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if cpus > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return cpus
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def set_cpu_budget(cpus: int) -> None:
@@ -57,7 +53,10 @@ def _fork(fn: Callable[[T], R], item: T) -> tuple[int, BinaryIO] | None:
     its parent's code past this call; it exits with status 0 only once
     the whole result is written.
     """
-    r, w = os.pipe()
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -85,8 +84,10 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     again in this process, so only this process raises. Every child is
     reaped before this returns or raises.
     """
-    children = [_fork(fn, item) for item in items[1:]]
+    children: list[tuple[int, BinaryIO] | None] = []
     try:
+        for item in items[1:]:
+            children.append(_fork(fn, item))
         results = [fn(items[0])]
         for i, item in enumerate(items[1:]):
             if children[i] is not None:

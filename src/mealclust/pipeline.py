@@ -10,8 +10,12 @@ messages and exit code are those of running them one after another.
 
 `parallel.cpu_budget` owns the CPU count: a pool worker gets the run's
 CPUs divided by the pool's size, so with no more CPUs than households it
-fits its GMM sweep in one process, while a household run in this process
-spreads its sweep's g range over every CPU (see `validation.sweep_gmm`).
+sweeps in one process, while a household run in this process spreads its
+GMM sweep's g range over every CPU (see `validation.sweep_gmm`). With a
+budget above one CPU, a household sweeps DBSCAN in one forked child
+beside its K-Means sweep and collects it before the GMM sweep forks, so
+no more processes than the budget are busy at once; with one CPU the
+sweeps run one after another.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from mealclust import features as features_mod
 from mealclust import synth as synth_mod
 from mealclust.events import SchemaError, SensorEvent, records_to_csv
 from mealclust.gmm import CategoryRow, FitError, category_summary
-from mealclust.parallel import cpu_budget, set_cpu_budget
+from mealclust.parallel import cpu_budget, fork_map, set_cpu_budget
 from mealclust.validation import (
     DEFAULT_EPS_VALUES,
     DEFAULT_G_RANGE,
     DEFAULT_K_RANGE,
     SweepEntry,
     SweepError,
+    SweepReport,
     check_param_range,
     sweep_dbscan,
     sweep_gmm,
@@ -124,7 +129,21 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
     matrix = features_mod.build_features(episodes, mode=config.feature_mode)
     matrix = features_mod.scale_features(matrix, method=config.scaling)
 
-    km_report = sweep_kmeans(matrix, k_range=config.k_range, seed=config.seed, household_id=household_id)
+    def kmeans():
+        return sweep_kmeans(matrix, k_range=config.k_range, seed=config.seed, household_id=household_id)
+
+    def dbscan() -> SweepReport | SweepError:
+        try:
+            return sweep_dbscan(matrix, eps_values=config.eps_values, min_pts=config.min_pts,
+                                household_id=household_id)
+        except SweepError as exc:
+            return exc  # a value, so fork_map does not sweep again in this process
+
+    if cpu_budget() > 1:
+        # K-Means here, so the matrix keeps its fits; DBSCAN collected before the GMM shares fork
+        km_report, db_report = fork_map(lambda sweep: sweep(), [kmeans, dbscan])
+    else:
+        km_report, db_report = kmeans(), None
     gm_report = sweep_gmm(matrix, g_range=config.g_range, seed=config.seed, household_id=household_id)
     for name, report in (("kmeans", km_report), ("gmm", gm_report)):
         (out_dir / f"sweep_{name}.json").write_text(_json_bytes(report.to_dict()))
@@ -146,15 +165,13 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         },
     }
 
-    try:
-        db_report = sweep_dbscan(
-            matrix, eps_values=config.eps_values, min_pts=config.min_pts, household_id=household_id
-        )
-    except SweepError:
+    if db_report is None:
+        db_report = dbscan()
+    if isinstance(db_report, SweepError):
         # keep the kmeans/gmm artifacts; caller records the failure
         summary["algorithms"]["dbscan"] = None
         (out_dir / "summary.json").write_text(_json_bytes(summary))
-        raise
+        raise db_report
     (out_dir / "sweep_dbscan.json").write_text(_json_bytes(db_report.to_dict()))
     (out_dir / "dbscan_dbi.csv").write_text(records_to_csv(SweepEntry, db_report.entries))
     summary["algorithms"]["dbscan"] = {

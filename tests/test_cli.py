@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from mealclust.events import SensorEvent, parse_events, records_from_csv, record
 from mealclust.gmm import FitError
 from mealclust.synth import default_profile, format_profile, generate_trace
 from mealclust.validation import SweepEntry, SweepReport
-from test_golden import sha256_tree
+from test_golden import GOLDEN, sha256_tree, write_artifacts
 
 
 @pytest.fixture()
@@ -30,6 +31,20 @@ def profile_path(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pools need the fork start method"
+)
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_generate_writes_trace_and_truth(tmp_path, profile_path):
@@ -414,13 +429,18 @@ def test_each_kmeans_is_fitted_once_per_k(tmp_path, profile_path, monkeypatch):
     assert sorted(fitted_k) == list(range(2, 11))
 
 
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 @pytest.mark.parametrize("flag, name", [("--k-range", "k_range"), ("--g-range", "g_range")])
-def test_huge_range_fails_only_the_household(tmp_path, profile_path, capsys, flag, name):
-    # the bound is checked before the range is listed, so no MemoryError ends the run
+def test_huge_range_fails_only_the_household(tmp_path, profile_path, monkeypatch, capsys, flag, name, cpus):
+    # the bound is checked before the range is listed, so no MemoryError ends
+    # the run; at 2 CPUs a K-Means sweep that fails kills the DBSCAN child
+    set_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     assert run_cli("run", "--synth-profile", profile_path, flag, "2..4000000000", "--out", out) == 3
     n = len(records_from_csv(ActivityEpisode, (out / "house-1" / "episodes.csv").read_text()))
     assert capsys.readouterr().err == f"mealclust: pipeline error: house-1: {name} must lie within [2, {n - 1}]\n"
+    assert sorted(p.name for p in (out / "house-1").iterdir()) == ["episodes.csv"]
+    no_child_is_left()
 
 
 def test_seed_env_fallback(tmp_path, profile_path, monkeypatch):
@@ -462,10 +482,15 @@ def test_household_without_episodes_fails_alone(tmp_path, profile_path, capsys):
     assert sorted(p.name for p in (out / "house-1").iterdir()) == FULL_ARTIFACTS
 
 
-def test_dbscan_sweep_without_clusters_keeps_the_other_artifacts(tmp_path, profile_path, capsys):
-    # at eps 0.0001 no two episodes are neighbours, so every DBSCAN entry is all noise
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_dbscan_sweep_without_clusters_keeps_the_other_artifacts(tmp_path, profile_path, monkeypatch, capsys, cpus):
+    # at eps 0.0001 no two episodes are neighbours, so every DBSCAN entry is
+    # all noise; at 2 CPUs the SweepError comes back from the DBSCAN child
+    set_cpus(monkeypatch, cpus)
+    logged = log_sweeps(monkeypatch, tmp_path / "sweeps.jsonl")
     out = tmp_path / "out"
     assert run_cli("run", "--synth-profile", profile_path, "--eps", "0.0001", "--out", out) == 3
+    assert [what for what, *_ in logged() if what.startswith("dbscan")] == ["dbscan start"]  # swept once
     assert capsys.readouterr().err == "mealclust: pipeline error: house-1: no valid clustering in range\n"
     hh = out / "house-1"
     assert sorted(p.name for p in hh.iterdir()) == sorted(
@@ -475,6 +500,80 @@ def test_dbscan_sweep_without_clusters_keeps_the_other_artifacts(tmp_path, profi
     assert summary["algorithms"]["dbscan"] is None
     assert set(summary["algorithms"]) == {"kmeans", "gmm", "dbscan"}
     assert summary["n_episodes"] == len(records_from_csv(ActivityEpisode, (hh / "episodes.csv").read_text()))
+    no_child_is_left()
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork), pytest.param(3, marks=needs_fork)])
+def test_golden_artifacts_at_any_cpu_budget(tmp_path, monkeypatch, cpus):
+    # from 2 CPUs on, each run sweeps DBSCAN in a child beside K-Means and GMM in shares
+    set_cpus(monkeypatch, cpus)
+    assert sha256_tree(write_artifacts(tmp_path)) == GOLDEN
+    no_child_is_left()
+
+
+def log_sweeps(monkeypatch, path):
+    """Make every DBSCAN sweep, kmeans_fit and gmm_fits call of a run, in
+    any process, append [what, pid, monotonic time] to `path` as it starts
+    and as it returns; returns a reader of those lines."""
+    def logging(name, fn):
+        def logged(*args, **kwargs):
+            with open(path, "a") as fh:
+                fh.write(json.dumps([f"{name} start", os.getpid(), time.monotonic()]) + "\n")
+            result = fn(*args, **kwargs)
+            with open(path, "a") as fh:
+                fh.write(json.dumps([f"{name} end", os.getpid(), time.monotonic()]) + "\n")
+            return result
+        return logged
+
+    monkeypatch.setattr(pipeline, "sweep_dbscan", logging("dbscan", pipeline.sweep_dbscan))
+    monkeypatch.setattr(validation, "kmeans_fit", logging("kmeans", validation.kmeans_fit))
+    monkeypatch.setattr(validation, "gmm_fits", logging("gmm", validation.gmm_fits))
+    return lambda: [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork), pytest.param(3, marks=needs_fork)])
+def test_the_dbscan_child_ends_before_the_gmm_shares_start(tmp_path, profile_path, monkeypatch, cpus):
+    # so no more than the CPU budget's processes are ever busy at once
+    set_cpus(monkeypatch, cpus)
+    logged = log_sweeps(monkeypatch, tmp_path / "sweeps.jsonl")
+    assert run_cli("run", "--synth-profile", profile_path, "--out", tmp_path / "out") == 0
+    lines = logged()
+    [dbscan_pid] = {pid for what, pid, _ in lines if what.startswith("dbscan")}
+    assert (dbscan_pid == os.getpid()) == (cpus == 1)
+    # K-Means stays here, so the GMM sweep finds its starts fitted
+    assert [pid for what, pid, _ in lines if what == "kmeans start"] == [os.getpid()] * 9
+    [dbscan_end] = [t for what, _, t in lines if what == "dbscan end"]
+    gmm_starts = [t for what, _, t in lines if what == "gmm start"]
+    assert len(gmm_starts) == cpus  # one share per CPU
+    assert (dbscan_end < min(gmm_starts)) == (cpus > 1)
+    no_child_is_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("death", ["exit", "raise"])
+def test_a_dbscan_child_that_dies_is_swept_again_here(tmp_path, profile_path, monkeypatch, capsys, death):
+    set_cpus(monkeypatch, 1)
+    assert run_cli("run", "--synth-profile", profile_path, "--out", tmp_path / "serial") == 0
+    serial = capsys.readouterr()
+    parent, marker = os.getpid(), tmp_path / "child-started"
+    sweep_dbscan = pipeline.sweep_dbscan
+
+    def dying_sweep_dbscan(*args, **kwargs):
+        if os.getpid() != parent:
+            marker.touch()
+            if death == "exit":
+                os._exit(9)
+            raise RuntimeError("a child's own failure")
+        return sweep_dbscan(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "sweep_dbscan", dying_sweep_dbscan)
+    set_cpus(monkeypatch, 2)
+    assert run_cli("run", "--synth-profile", profile_path, "--out", tmp_path / "forked") == 0
+    forked = capsys.readouterr()
+    assert marker.exists()
+    assert sha256_tree(tmp_path / "forked") == sha256_tree(tmp_path / "serial")
+    assert forked.out == serial.out.replace("serial", "forked") and forked.err == serial.err == ""
+    no_child_is_left()
 
 
 def test_household_id_cannot_leave_the_output_directory(tmp_path, profile_path, capsys):
@@ -538,13 +637,6 @@ FULL_ARTIFACTS = sorted([
     "categories.csv", "dbscan_dbi.csv", "episodes.csv", "gmm_dbi.csv", "kmeans_dbi.csv",
     "summary.json", "sweep_dbscan.json", "sweep_gmm.json", "sweep_kmeans.json",
 ])
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pools need the fork start method"
-)
-
-
-def set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def forbid_pool(monkeypatch):
@@ -694,7 +786,7 @@ def test_households_run_in_process_without_a_pool(tmp_path, profile_path, monkey
     else:
         merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
     if case == "no fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
     if case == "no affinity, one CPU":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -706,6 +798,21 @@ def test_import_loads_no_pool_machinery():
     env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_a_one_household_run_at_2_cpus_loads_no_pool_machinery(tmp_path, profile_path):
+    # the DBSCAN child and the GMM shares are forked by `parallel`, not by a pool
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from mealclust.cli import main\n"
+        "assert main(['run', '--synth-profile', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code, str(profile_path), str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "house-1" / "summary.json").exists()
 
 
 def test_input_files_never_mutated(tmp_path, profile_path):

@@ -22,7 +22,7 @@ from mealclust.validation import (
     sweep_gmm,
     sweep_kmeans,
 )
-from test_cli import count_fits, needs_fork, set_cpus
+from test_cli import count_fits, needs_fork, no_child_is_left, set_cpus
 from test_gmm import collapse_fits, profile_features, starts
 
 
@@ -282,11 +282,6 @@ def default_matrices():
     found = segment_episodes(filter_meal_locations(generate_trace(default_profile(days=365))))
     raw = build_features(found)
     return {"raw": raw, "zscore": scale_features(raw, "zscore"), "duration": build_features(found, MODE_DURATION_ONLY)}
-
-
-def no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("case, g_range", [
