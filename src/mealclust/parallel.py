@@ -1,5 +1,5 @@
 """How many CPUs a process may use, and a map that spreads its items over
-forked children.
+forked children, keeping no more processes busy than that.
 
 A process may keep as many CPUs busy as its affinity mask holds, or one
 where the platform cannot fork. A household pool worker is given its
@@ -76,9 +76,10 @@ def _fork(fn: Callable[[T], R], item: T) -> tuple[int, BinaryIO] | None:
 
 
 def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """[fn(item) for item in items], with items[0] computed in this process
-    and each later item in a forked child that sends its result back over
-    a pipe.
+    """[fn(item) for item in items], with at most `cpu_budget()` processes
+    busy at once: items[1:cpu_budget()] each in a forked child that sends
+    its result back over a pipe, items[0] and then every item past them
+    in this process.
 
     An item whose child could not start, died, or raised is computed
     again in this process, so only this process raises. Every child is
@@ -86,8 +87,9 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """
     children: list[tuple[int, BinaryIO] | None] = []
     try:
-        for item in items[1:]:
+        for item in items[1:cpu_budget()]:
             children.append(_fork(fn, item))
+        children += [None] * (len(items) - 1 - len(children))  # items past the budget: computed here
         results = [fn(items[0])]
         for i, item in enumerate(items[1:]):
             if children[i] is not None:

@@ -11,11 +11,11 @@ messages and exit code are those of running them one after another.
 `parallel.cpu_budget` owns the CPU count: a pool worker gets the run's
 CPUs divided by the pool's size, so with no more CPUs than households it
 sweeps in one process, while a household run in this process spreads its
-GMM sweep's g range over every CPU (see `validation.sweep_gmm`). With a
-budget above one CPU, a household sweeps DBSCAN in one forked child
-beside its K-Means sweep and collects it before the GMM sweep forks, so
-no more processes than the budget are busy at once; with one CPU the
-sweeps run one after another.
+GMM sweep's g range over every CPU (see `validation.sweep_gmm`). A
+household sweeps K-Means, DBSCAN, then GMM, through `parallel.fork_map`,
+which keeps at most the budget's processes busy: with a spare CPU the
+DBSCAN sweep runs in one forked child beside K-Means and is collected
+before the GMM sweep forks; with one CPU both run in this process.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def _load_events(config: RunConfig):
     return synth_mod.generate_trace(profile), []
 
 
-def _process_household(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> dict:
-    """Run one household end to end; returns its summary dict.
+def _process_household(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> None:
+    """Run one household end to end, writing its artifacts to `out_dir`.
 
     Raises SweepError / FitError / ValueError / OSError upward for
     per-household failures, among them an id that is not a plain directory
@@ -139,20 +139,19 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         except SweepError as exc:
             return exc  # a value, so fork_map does not sweep again in this process
 
-    if cpu_budget() > 1:
-        # K-Means here, so the matrix keeps its fits; DBSCAN collected before the GMM shares fork
-        km_report, db_report = fork_map(lambda sweep: sweep(), [kmeans, dbscan])
-    else:
-        km_report, db_report = kmeans(), None
+    # K-Means here, so the matrix keeps its fits; with a spare CPU DBSCAN
+    # in a child that ends before the GMM shares fork
+    km_report, db_report = fork_map(lambda sweep: sweep(), [kmeans, dbscan])
     gm_report = sweep_gmm(matrix, g_range=config.g_range, seed=config.seed, household_id=household_id)
-    for name, report in (("kmeans", km_report), ("gmm", gm_report)):
-        (out_dir / f"sweep_{name}.json").write_text(_json_bytes(report.to_dict()))
-        (out_dir / f"{name}_dbi.csv").write_text(records_to_csv(SweepEntry, report.entries))
+    for name, report in (("kmeans", km_report), ("gmm", gm_report), ("dbscan", db_report)):
+        if isinstance(report, SweepReport):
+            (out_dir / f"sweep_{name}.json").write_text(_json_bytes(report.to_dict()))
+            (out_dir / f"{name}_dbi.csv").write_text(records_to_csv(SweepEntry, report.entries))
 
     categories = category_summary(gm_report.best_model, matrix)
     (out_dir / "categories.csv").write_text(records_to_csv(CategoryRow, categories))
 
-    summary: dict = {
+    summary = {
         "household_id": household_id,
         "n_episodes": len(episodes),
         "algorithms": {
@@ -162,25 +161,17 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
                 "dbi": gm_report.best.dbi,
                 "categories": [asdict(row) for row in categories],
             },
+            # null for a failed DBSCAN sweep, whose error is raised once the rest is written
+            "dbscan": None if isinstance(db_report, SweepError) else {
+                "best_param": db_report.best.param,
+                "dbi": db_report.best.dbi,
+                "n_noise": db_report.best.n_noise,
+            },
         },
     }
-
-    if db_report is None:
-        db_report = dbscan()
-    if isinstance(db_report, SweepError):
-        # keep the kmeans/gmm artifacts; caller records the failure
-        summary["algorithms"]["dbscan"] = None
-        (out_dir / "summary.json").write_text(_json_bytes(summary))
-        raise db_report
-    (out_dir / "sweep_dbscan.json").write_text(_json_bytes(db_report.to_dict()))
-    (out_dir / "dbscan_dbi.csv").write_text(records_to_csv(SweepEntry, db_report.entries))
-    summary["algorithms"]["dbscan"] = {
-        "best_param": db_report.best.param,
-        "dbi": db_report.best.dbi,
-        "n_noise": db_report.best.n_noise,
-    }
     (out_dir / "summary.json").write_text(_json_bytes(summary))
-    return summary
+    if isinstance(db_report, SweepError):
+        raise db_report
 
 
 def _household_outcome(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> str | None:

@@ -2,7 +2,6 @@ import concurrent.futures
 import dataclasses
 import inspect
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -33,9 +32,7 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="worker pools need the fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked children need os.fork")
 
 
 def set_cpus(monkeypatch, n):
@@ -533,7 +530,8 @@ def log_sweeps(monkeypatch, path):
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork), pytest.param(3, marks=needs_fork)])
 def test_the_dbscan_child_ends_before_the_gmm_shares_start(tmp_path, profile_path, monkeypatch, cpus):
-    # so no more than the CPU budget's processes are ever busy at once
+    # so no more than the CPU budget's processes are ever busy at once; at
+    # one CPU DBSCAN too is swept before GMM, in this process
     set_cpus(monkeypatch, cpus)
     logged = log_sweeps(monkeypatch, tmp_path / "sweeps.jsonl")
     assert run_cli("run", "--synth-profile", profile_path, "--out", tmp_path / "out") == 0
@@ -545,7 +543,7 @@ def test_the_dbscan_child_ends_before_the_gmm_shares_start(tmp_path, profile_pat
     [dbscan_end] = [t for what, _, t in lines if what == "dbscan end"]
     gmm_starts = [t for what, _, t in lines if what == "gmm start"]
     assert len(gmm_starts) == cpus  # one share per CPU
-    assert (dbscan_end < min(gmm_starts)) == (cpus > 1)
+    assert dbscan_end < min(gmm_starts)
     no_child_is_left()
 
 
@@ -620,6 +618,19 @@ def collapse_gmm_of(monkeypatch, *household_ids):
     monkeypatch.setattr(pipeline, "sweep_gmm", collapsing_sweep_gmm)
 
 
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_a_gmm_collapse_wins_over_a_failed_dbscan_sweep(tmp_path, profile_path, monkeypatch, capsys, cpus):
+    # DBSCAN is swept before GMM, but its SweepError is raised only once the
+    # GMM sweep has returned, so the collapse is the household's one message
+    set_cpus(monkeypatch, cpus)
+    collapse_gmm_of(monkeypatch, "house-1")
+    out = tmp_path / "out"
+    assert run_cli("run", "--synth-profile", profile_path, "--eps", "0.0001", "--out", out) == 3
+    assert capsys.readouterr().err == "mealclust: pipeline error: house-1: numerical collapse at iteration 3\n"
+    assert sorted(p.name for p in (out / "house-1").iterdir()) == ["episodes.csv"]
+    no_child_is_left()
+
+
 def test_gmm_collapse_stays_in_its_household(tmp_path, profile_path, monkeypatch, capsys):
     # house-0 is a copy of house-1 whose GMM sweep collapses; it is
     # processed first, and house-1 must still get its full artifacts
@@ -688,7 +699,7 @@ def test_dead_worker_fails_only_its_household(tmp_path, profile_path, monkeypatc
     assert capsys.readouterr().err == "mealclust: pipeline error: house-1: worker process died\n"
     for household_id in ("house-0", "house-2"):
         assert sorted(p.name for p in (out / household_id).iterdir()) == FULL_ARTIFACTS
-    assert multiprocessing.active_children() == []
+    no_child_is_left()
 
 
 @needs_fork
@@ -696,7 +707,7 @@ def test_no_worker_outlives_the_run(tmp_path, profile_path, monkeypatch):
     merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
     set_cpus(monkeypatch, 3)
     assert run_cli("run", "--input", merged, "--out", tmp_path / "ok") == 0
-    assert multiprocessing.active_children() == []
+    no_child_is_left()
 
     # an error that is not a household's failure still aborts the run
     process_household = pipeline._process_household
@@ -709,7 +720,7 @@ def test_no_worker_outlives_the_run(tmp_path, profile_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_process_household", broken_process_household)
     with pytest.raises(RuntimeError, match="not a household failure"):
         run_cli("run", "--input", merged, "--out", tmp_path / "aborted")
-    assert multiprocessing.active_children() == []
+    no_child_is_left()
 
 
 def log_gmm_fits(monkeypatch, path):
@@ -777,6 +788,10 @@ def test_household_whose_artifacts_cannot_be_written_fails_alone(tmp_path, profi
     assert (out / "rejections.csv").read_text() == f"line,reason\n{last_line},non-binary value: '2'\n"
 
 
+def forbidden_fork():
+    raise AssertionError("a one-CPU run forked")
+
+
 @pytest.mark.parametrize("case", ["one household", "no fork", "no affinity, one CPU"])
 def test_households_run_in_process_without_a_pool(tmp_path, profile_path, monkeypatch, case):
     forbid_pool(monkeypatch)
@@ -790,6 +805,7 @@ def test_households_run_in_process_without_a_pool(tmp_path, profile_path, monkey
     if case == "no affinity, one CPU":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", forbidden_fork, raising=False)
     assert run_cli("run", "--input", merged, "--out", tmp_path / "out") == 0
 
 
