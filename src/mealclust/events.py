@@ -16,6 +16,13 @@ The parser reads bytes, byte input with universal newlines. A canonical
 row (a canonical timestamp first, then printable ASCII fields that pass
 every check) is parsed from its bytes; every other row goes through
 csv.reader and the per-row checks, so each rejection keeps its line.
+
+One range reader (`_parse_lines`) parses a run of lines with its own
+vocabulary. A regular file with no quote and no carriage return, whose
+lines csv.reader would split at every "\n", is cut into one range per
+CPU, each parsed in its own process (`parallel.fork_map`); all other
+input is one range. The ranges are joined in order, their codes remapped
+into one sorted vocabulary, so the result does not depend on the cuts.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import csv
 import dataclasses
 import gc
 import io
+import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -33,6 +42,8 @@ from operator import attrgetter, itemgetter, methodcaller
 from typing import BinaryIO, Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
+
+from mealclust import parallel
 
 SENSOR_KINDS = frozenset({"motion", "contact"})
 DEFAULT_MEAL_LOCATIONS = frozenset({"kitchen", "dining_room"})
@@ -376,37 +387,30 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
 
 
 def _blocks(stream) -> Iterator[bytes]:
-    """`stream` as UTF-8 in runs of whole lines: its first line, then blocks
-    of about CHUNK_BYTES each, each ending at its last line end; the last
-    line may lack its line end. Bytes are read with universal newlines,
-    each "\\r\\n" or lone "\\r" ending a line and becoming "\\n" as in a
-    text-mode file (no other UTF-8 character holds either byte). Text is
-    read whole and encoded; its lines end at "\\n" only."""
+    """`stream` as UTF-8 in blocks of whole lines, of about CHUNK_BYTES
+    each, each ending at its last line end; the last line may lack its line
+    end. Bytes are read with universal newlines, each "\\r\\n" or lone
+    "\\r" ending a line and becoming "\\n" as in a text-mode file (no other
+    UTF-8 character holds either byte). Text is read whole and encoded;
+    its lines end at "\\n" only."""
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
     universal = not (isinstance(stream, str) or isinstance(stream.read(0), str))
     if not universal:
         stream = io.BytesIO((stream if isinstance(stream, str) else stream.read()).encode("utf-8"))
     ends = (b"\n", b"\r") if universal else (b"\n",)
-    first, pending = True, b""
+    pending = b""
     # no name but `data` holds what is read, so a block being parsed is
     # the only copy of its bytes
     while len(data := pending + stream.read(CHUNK_BYTES)) > len(pending):
         # `pending` ends no line before its last byte; a "\r" at the end of
         # `data` waits for the next byte, which may be its "\n"
         start, stop = max(len(pending) - 1, 0), len(data) - (universal and data.endswith(b"\r"))
-        if first:
-            at = min((i for i in (data.find(end, start, stop) for end in ends) if i >= 0), default=-1)
-            if at >= 0:
-                cut = at + 1 + (data[at:at + 2] == b"\r\n")
-                block, data = data[:cut], data[cut:]
-                yield _universal(block) if universal else block
-                first, start, stop = False, 0, stop - cut
-        if not first and (cut := max(data.rfind(end, start, stop) for end in ends) + 1):
+        if cut := max(data.rfind(end, start, stop) for end in ends) + 1:
             block, data = data[:cut], data[cut:]
             yield _universal(block) if universal else block
         pending = data
-    if pending or first:
+    if pending:
         yield _universal(pending) if universal else pending
 
 
@@ -441,6 +445,100 @@ def _framed(chunk: bytes) -> bool:
     return b'"' in chunk or b"\r" in chunk
 
 
+class _Pread:
+    """A binary stream of bytes [start, stop) of the file open on `fd`,
+    read with os.pread, which leaves the file's offset where it is."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self.fd, self.at, self.stop = fd, start, stop
+
+    def read(self, n: int) -> bytes:
+        data = os.pread(self.fd, min(n, self.stop - self.at), self.at)
+        self.at += len(data)
+        return data
+
+
+def _file(stream) -> tuple[int, int] | None:
+    """The descriptor and offset of `stream` when it reads the bytes of a
+    regular file as they are stored, so that os.pread reads the same; else
+    None (bytes, text, a pipe, or a stream that decodes what it reads)."""
+    raw = getattr(stream, "raw", stream)
+    if not isinstance(raw, io.FileIO) or not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+        return None
+    return raw.fileno(), stream.tell()
+
+
+def _line_ranges(fd: int, start: int, header: int) -> list[tuple[Iterator[bytes], int]] | None:
+    """The rows of the file open on `fd`, whose input starts at byte `start`
+    with a first line of `header` bytes, as one range per CPU: the blocks
+    of each (read with os.pread when they are first iterated) and the input
+    line it starts on. Each range but the last ends after a "\\n", near
+    an equal share of the rows' bytes. None where that gives fewer than two
+    ranges, or where the input holds a quote or a carriage return, whose
+    framing only a serial read gets right.
+
+    There are no more ranges than whole blocks of CHUNK_BYTES after the
+    first line, so input shorter than two blocks is read serially. The
+    input is read here once, a block at a time, to check it and to count
+    the lines before each cut."""
+    size = os.fstat(fd).st_size
+    body = start + header
+    n = min(parallel.cpu_budget(), (size - body) // CHUNK_BYTES)
+    if n < 2:
+        return None
+    targets = [body + (size - body) * i // n for i in range(1, n)]
+    cuts, lines, newlines, at = [body], [2], 0, start
+    while block := os.pread(fd, CHUNK_BYTES, at):
+        if _framed(block):
+            return None
+        for target in targets[len(cuts) - 1:]:
+            # the first line end at or past the target, in this block or a later one
+            cut = block.find(b"\n", max(target, cuts[-1], at) - at) + 1
+            if not cut:
+                break
+            cuts.append(at + cut)
+            lines.append(1 + newlines + block.count(b"\n", 0, cut))
+        newlines += block.count(b"\n")
+        at += len(block)
+    return [(_blocks(_Pread(fd, a, b)), line) for a, b, line in zip(cuts, cuts[1:] + [at], lines) if a < b]
+
+
+def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int,
+                 reader=None) -> tuple[list[list[np.ndarray]], list[Rejection], list[str]]:
+    """The event columns of each chunk of `blocks`, runs of whole lines from
+    input line `line` on, with codes into the vocabulary returned last; and
+    the rejections, in line order.
+
+    Under a header whose first column is the timestamp, each block is parsed
+    from its bytes (`_parse_block`) up to the first that holds a quote or a
+    carriage return; csv.reader reads the rows from there on, or all of
+    them under any other header. `reader` is the csv.reader that read a
+    header holding a quote or a carriage return, from input line 1 on; it
+    then reads every row."""
+    vocab: dict[str, int] = {}
+    checked: dict[bytes, tuple | None] = {}
+    chunks: list[list[np.ndarray]] = []
+    rejections: list[Rejection] = []
+    reader_lines = range(1, sys.maxsize)
+    if reader is None:
+        if idx["timestamp"] == 0:
+            for block in blocks:
+                if _framed(block):
+                    blocks = chain([block], blocks)
+                    break
+                columns, rejected, n = _parse_block(block, line, idx, vocab, checked)
+                chunks.append(columns)
+                rejections.extend(rejected)
+                line += n
+        reader, reader_lines = csv.reader(chain.from_iterable(_texts(blocks, line))), range(line, sys.maxsize)
+    while rows := _read(reader, max(1, CHUNK_BYTES // _ROW_BYTES), reader_lines):
+        columns, rejected, _ = _parse_chunk(rows, np.arange(line, line + len(rows)), idx, vocab)
+        chunks.append(columns)
+        rejections.extend(rejected)
+        line += len(rows)
+    return chunks, rejections, list(vocab)
+
+
 def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, list[Rejection]]:
     """Parse a sensor-log CSV into time-ordered events plus a rejection report.
 
@@ -448,7 +546,14 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     read whole and encoded to UTF-8. Bytes are read as UTF-8 with
     universal newlines, as a text-mode file reads them, so a CRLF log
     parses as its LF copy; text ends its lines at "\\n" only. A caller's
-    stream is read, never closed.
+    stream is read to its end, never closed.
+
+    A binary file that holds no quote and no carriage return is parsed in
+    one range of lines per CPU (`_line_ranges`): the first in this process
+    and each other in a forked child (`parallel.fork_map`), which reads its
+    own bytes. Any other input, and a file under two blocks of CHUNK_BYTES
+    or with one CPU to use, is one range parsed here. Either way the result
+    is the same: the vocabulary `names` is sorted, whatever the ranges.
 
     Returns events sorted ascending by timestamp (stable, so equal
     timestamps keep input order). Every data row lands either in the
@@ -459,47 +564,47 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     CSV, or at its first line that is not valid UTF-8, naming that line
     and the offset of the bad byte in it.
     """
+    file = _file(stream)
     blocks = _blocks(stream)
-    first = next(blocks)
+    head = next(blocks, b"")
+    first = head[: head.find(b"\n") + 1] or head
+    blocks = chain([head[len(first):]] if len(head) > len(first) else [], blocks)
     # a UTF-8 byte-order mark, which csv and str.strip keep, is no part of the header
     header = io.StringIO(_decode(first, 1).removeprefix("\ufeff"))
-    vocab: dict[str, int] = {}
-    chunks: list[list[np.ndarray]] = []
-    rejections: list[Rejection] = []
-    line = 2  # the blocks start after the first line
-    checked: dict[bytes, tuple | None] = {}
+    reader = csv.reader(chain.from_iterable(chain([header], _texts(blocks, 2))))
+    idx = _header(reader, range(1, sys.maxsize))
+    if _framed(first):
+        ranges = [(blocks, 2, reader)]
+    elif file is not None and (split := _line_ranges(*file, len(first))):
+        ranges = split
+        stream.seek(0, io.SEEK_END)  # as a serial read leaves it; each range reads with os.pread
+    else:
+        ranges = [(blocks, 2)]
     # The row lists of a batch hold only strings, so they form no cycles;
     # left on, the cyclic collector would scan them again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # after the header, this reader reads only the blocks that the byte path leaves
-        texts = chain([header], _texts(blocks, line))
-        reader, reader_lines = csv.reader(chain.from_iterable(texts)), range(1, sys.maxsize)
-        idx = _header(reader, reader_lines)
-        if idx["timestamp"] == 0 and not _framed(first):
-            for block in blocks:
-                if _framed(block):
-                    reader = csv.reader(chain.from_iterable(_texts(chain([block], blocks), line)))
-                    reader_lines = range(line, sys.maxsize)
-                    break
-                columns, rejected, n = _parse_block(block, line, idx, vocab, checked)
-                chunks.append(columns)
-                rejections.extend(rejected)
-                line += n
-        # csv.reader reads the rows from the first framed block on, or all of
-        # them under a header that does not start with the timestamp; after
-        # the last block, the header's reader finds the end of the input.
-        while rows := _read(reader, max(1, CHUNK_BYTES // _ROW_BYTES), reader_lines):
-            columns, rejected, _ = _parse_chunk(rows, np.arange(line, line + len(rows)), idx, vocab)
-            chunks.append(columns)
-            rejections.extend(rejected)
-            line += len(rows)
+        # a range that fails in its child is parsed again here, so the
+        # error of the earliest failing range is the one raised
+        parts = parallel.fork_map(lambda r: _parse_lines(idx, *r), ranges)
     finally:
         if collecting:
             gc.enable()
-    columns = [np.concatenate(parts) for parts in zip(*chunks)] or [[]] * 6
-    events = EventTable(*columns, list(vocab))
+    chunks = [chunk for part, _, _ in parts for chunk in part]
+    columns = [np.concatenate(column) for column in zip(*chunks)] or [np.array([], np.int32)] * 6
+    # each range's codes, into its own vocabulary, become codes into `names`
+    names = sorted(set().union(*(vocab for _, _, vocab in parts)))
+    code = {name: i for i, name in enumerate(names)}
+    start = 0
+    for part, _, vocab in parts:
+        remap = np.array([code[name] for name in vocab], dtype=np.int32)
+        stop = start + sum(len(seconds) for seconds, *_ in part)
+        for codes in columns[1:5]:
+            codes[start:stop] = remap[codes[start:stop]]
+        start = stop
+    events = EventTable(*columns, names)
+    rejections = [rejection for _, rejected, _ in parts for rejection in rejected]
     return events.take(np.argsort(events.seconds, kind="stable")), rejections
 
 

@@ -75,15 +75,31 @@ def _fork(fn: Callable[[T], R], item: T) -> tuple[int, BinaryIO] | None:
     return pid, os.fdopen(r, "rb")
 
 
+def _receive(pid: int, stream: BinaryIO) -> tuple[bool, object]:
+    """Whether the child `pid` sent its whole result over `stream` and then
+    exited with status 0, and that result; the child is reaped.
+
+    The result is unpickled as it is read, so it is held once. The stream
+    is closed before the wait, so a child still writing to it ends.
+    """
+    with stream:
+        try:
+            result, loaded = pickle.load(stream), True
+        except (EOFError, pickle.UnpicklingError):  # the child died or raised mid-write
+            result, loaded = None, False
+    _, status = os.waitpid(pid, 0)
+    return loaded and os.waitstatus_to_exitcode(status) == 0, result
+
+
 def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """[fn(item) for item in items], with at most `cpu_budget()` processes
     busy at once: items[1:cpu_budget()] each in a forked child that sends
     its result back over a pipe, items[0] and then every item past them
     in this process.
 
-    An item whose child could not start, died, or raised is computed
-    again in this process, so only this process raises. Every child is
-    reaped before this returns or raises.
+    An item whose child could not start, died, raised or did not send its
+    whole result is computed again in this process, so only this process
+    raises. Every child is reaped before this returns or raises.
     """
     children: list[tuple[int, BinaryIO] | None] = []
     try:
@@ -93,13 +109,10 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         results = [fn(items[0])]
         for i, item in enumerate(items[1:]):
             if children[i] is not None:
-                pid, stream = children[i]
-                with stream:
-                    payload = stream.read()
-                _, status = os.waitpid(pid, 0)
+                sent, result = _receive(*children[i])
                 children[i] = None
-                if os.waitstatus_to_exitcode(status) == 0:
-                    results.append(pickle.loads(payload))
+                if sent:
+                    results.append(result)
                     continue
             results.append(fn(item))
         return results

@@ -1,12 +1,16 @@
 import csv
 import gc
 import io
+import os
 import random
+import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +31,7 @@ from mealclust.events import (
     records_to_csv,
 )
 from mealclust.synth import default_profile, generate_trace
+from test_cli import needs_fork, no_child_is_left, set_cpus
 
 HEADER = "timestamp,household_id,sensor_id,sensor_kind,location,value\n"
 
@@ -689,3 +694,220 @@ def test_mixed_rows_match_reference_property(rows, header, bom, final_newline, c
         assert _outcome(parse_events, text) == _outcome(reference_parse_events, text.removeprefix("\ufeff"))
         expected = _outcome(reference_parse_events, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig"))
         assert _outcome(parse_events, io.BytesIO(data)) == expected
+
+
+# -- one range of lines per CPU --------------------------------------------------
+
+def assert_same_parse(got, expected):
+    """Equal events and rejections, and the same `names` and code columns."""
+    (events, rejections), (expected_events, expected_rejections) = got, expected
+    assert rejections == expected_rejections
+    assert events.names == expected_events.names
+    for column in ("seconds", "household", "sensor", "kind", "location", "value"):
+        assert np.array_equal(getattr(events, column), getattr(expected_events, column)), column
+
+
+def count_forks(monkeypatch):
+    """Count os.fork calls; returns the list that grows by one per call."""
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def parse_file(path):
+    with open(path, "rb") as fh:
+        result = parse_events(fh)
+        assert fh.read() == b""  # read to its end, and still open
+    return result
+
+
+def fleet_like_text(rows=3000, seed=24):
+    """Households interleaved in time with about 3% malformed rows, which
+    cover every rejection reason; no quote and no carriage return."""
+    rng = random.Random(seed)
+    faults = [
+        lambda r: r.rsplit(",", 1)[0] + "\n",
+        lambda r: r.rstrip("\n") + ",extra\n",
+        lambda r: "\n",
+        lambda r: r.replace("T", " ", 1),
+        lambda r: "1999-12-31T23:59:59" + r[19:],
+        lambda r: r.replace(",motion,", ",pressure,").replace(",contact,", ",pressure,"),
+        lambda r: r[:-2] + "2\n",
+        lambda r: r[:-2] + "\n",
+        lambda r: r.replace(",kitchen,", ", ,").replace(",bedroom,", ", ,"),
+        lambda r: " " + r.replace(",h", ", h", 1),  # padded: read by csv.reader, kept
+        lambda r: r.replace(",kitchen,", ",kitchené,"),  # non-ASCII: read by csv.reader, kept
+    ]
+    lines = [HEADER]
+    for i in range(rows):
+        ts = f"2024-03-{1 + i // 1000:02d}T{(i // 60) % 24:02d}:{i % 60:02d}:{rng.randrange(60):02d}"
+        text = row(ts, hh=f"h{rng.randrange(12)}", sensor=f"s{rng.randrange(30)}",
+                   kind=rng.choice(["motion", "contact"]), loc=rng.choice(["kitchen", "bedroom", "dining_room"]),
+                   value=rng.choice("01"))
+        lines.append(rng.choice(faults)(text) if rng.random() < 0.03 else text)
+    lines += [fault(row("2024-03-05T12:00:00")) for fault in faults]  # each reason at least once, at the end
+    return "".join(lines)
+
+
+@needs_fork
+@pytest.mark.parametrize("chunk_bytes", [64, 4096])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_file_parsed_in_ranges_equals_the_serial_parse(tmp_path, monkeypatch, cpus, chunk_bytes):
+    text = fleet_like_text()
+    path = tmp_path / "fleet.csv"
+    path.write_text(text)
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", chunk_bytes)
+    set_cpus(monkeypatch, 1)
+    serial = parse_events(text.encode())
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    assert_same_parse(parse_file(path), serial)
+    assert len(forks) == cpus - 1
+    events, rejections = serial
+    expected_events, expected_rejections = reference_parse_events(text)
+    assert events == expected_events and rejections == expected_rejections
+    reasons = {r.reason.split(":")[0].split(" ")[0] for r in rejections}
+    assert reasons == {"expected", "bad", "unknown", "non-binary", "empty"}
+    no_child_is_left()
+
+
+@needs_fork
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=_mixed_rows(_UNQUOTED_ROWS, ["\n"]),
+    header=st.one_of(st.just(REQUIRED_COLUMNS), st.permutations(REQUIRED_COLUMNS)),
+    bom=st.booleans(),
+    final_newline=st.booleans(),
+    chunk_bytes=st.sampled_from([64, 4096]),
+    cpus=st.sampled_from([2, 3]),
+)
+def test_unquoted_mixed_rows_in_ranges_match_reference_property(rows, header, bom, final_newline, chunk_bytes, cpus):
+    text = ",".join(header) + "\n" + "".join(_mixed_line(e, kind, header) + end for e, kind, end in rows)
+    if rows and not final_newline:
+        text = text.rstrip("\n")
+    data = ("\ufeff" + text if bom else text).encode()
+    with mock.patch.object(events_mod, "CHUNK_BYTES", chunk_bytes), tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.seek(0)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            split = _outcome(parse_events, fh)
+        assert _outcome(parse_events, data) == split == _outcome(reference_parse_events, text)
+        if split != "malformed CSV":
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(1)), create=True):
+                serial = parse_events(data)
+            fh.seek(0)
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+                assert_same_parse(parse_events(fh), serial)
+    no_child_is_left()
+
+
+def _rows_with_last_line(last, rows=8000):
+    """A file of `rows` canonical rows and then the bytes `last`, a whole
+    line, which the last of three ranges holds."""
+    body = "".join(row(f"2024-03-01T{i // 60 % 24:02d}:{i % 60:02d}:00", sensor=f"s{i}") for i in range(rows))
+    return (HEADER + body).encode() + last
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("last", [
+    row("2024-03-02T08:00:00", loc="kit\xffchen").encode("latin-1"),
+    row("2024-03-02T08:00:00", loc="x" * 140_000).encode(),
+], ids=["non-UTF-8 byte", "oversized field"])
+def test_an_error_in_the_last_range_is_the_serial_parse_error(tmp_path, monkeypatch, cpus, last):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)
+    data = _rows_with_last_line(last)
+    assert len(last) > csv.field_size_limit() or b"\xff" in last
+    set_cpus(monkeypatch, 1)
+    with pytest.raises(SchemaError) as serial:
+        parse_events(data)
+    assert str(serial.value).startswith("line 8002: ")
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    with open(path, "rb") as fh:
+        with pytest.raises(SchemaError) as split:
+            parse_events(fh)
+        assert not fh.closed
+    assert str(split.value) == str(serial.value)
+    assert len(forks) == cpus - 1
+    no_child_is_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["exit", "raise"])
+def test_a_range_whose_child_fails_is_parsed_again_here(tmp_path, monkeypatch, failure):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)
+    text = fleet_like_text()
+    serial = parse_events(text.encode())
+    path = tmp_path / "fleet.csv"
+    path.write_text(text)
+    set_cpus(monkeypatch, 3)
+    parent, real_parse_lines, here = os.getpid(), events_mod._parse_lines, []
+
+    def failing_parse_lines(idx, blocks, line, *args):
+        if os.getpid() != parent:
+            if failure == "exit":
+                os._exit(9)
+            raise RuntimeError("a range child fails")
+        here.append(line)
+        return real_parse_lines(idx, blocks, line, *args)
+
+    monkeypatch.setattr(events_mod, "_parse_lines", failing_parse_lines)
+    assert_same_parse(parse_file(path), serial)
+    assert len(here) == 3 and here[0] == 2  # every range, in order, in this process
+    no_child_is_left()
+
+
+def _fed_by_a_thread(data):
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as out:
+            out.write(data)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    return os.fdopen(r, "rb"), thread
+
+
+@pytest.mark.parametrize("source", ["quoted file", "CRLF file", "bare-CR file", "pipe", "bytes", "str",
+                                    "file under two blocks"])
+def test_input_that_cannot_be_cut_is_parsed_without_forking(tmp_path, monkeypatch, source):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 64)
+    text = HEADER + "".join(row(f"2024-03-01T08:{i:02d}:00", sensor=f"s{i}") for i in range(40))
+    expected = parse_events(text)
+    set_cpus(monkeypatch, 2)
+
+    def forbidden_fork():
+        raise AssertionError("a parse forked")
+
+    monkeypatch.setattr(os, "fork", forbidden_fork, raising=False)
+    path = tmp_path / "events.csv"
+    if source == "file under two blocks":
+        text = HEADER + row("2024-03-01T08:00:00") + row("2024-03-01T09:00:00")
+        expected = parse_events(text)
+        assert len(text) - len(HEADER) < 2 * 64
+    if source == "quoted file":
+        text = text.replace(",kitchen,", ',"kitchen",')
+    data = text.replace("\n", {"CRLF file": "\r\n", "bare-CR file": "\r"}.get(source, "\n")).encode()
+    if source == "bytes":
+        got = parse_events(data)
+    elif source == "str":
+        got = parse_events(text)
+    elif source == "pipe":
+        stream, thread = _fed_by_a_thread(data)
+        with stream:
+            got = parse_events(stream)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    else:
+        path.write_bytes(data)
+        got = parse_file(path)
+    assert_same_parse(got, expected)

@@ -1,4 +1,6 @@
 import os
+import signal
+import tracemalloc
 
 import pytest
 
@@ -61,4 +63,39 @@ def test_no_more_items_fork_than_the_cpu_budget_has_spare(monkeypatch, budget):
     assert len(forks) == budget - 1
     here = [x for x, pid in results if pid == os.getpid()]
     assert here == [0, *range(budget, 4)]
+    no_child_is_left()
+
+
+@needs_fork
+def test_a_result_larger_than_the_pipe_buffer_is_held_once(monkeypatch):
+    # 8 MB from the child, over a pipe that holds 64 KiB: the parent
+    # unpickles it as it reads, so it never holds a second copy
+    set_cpus(monkeypatch, 2)
+    size = 8_000_000
+    tracemalloc.start()
+    try:
+        results = fork_map(lambda n: (bytes([n % 251]) * n, os.getpid()), [1, size])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [data for data, _ in results] == [b"\x01", bytes([size % 251]) * size]
+    assert results[0][1] == os.getpid() != results[1][1]
+    assert peak < 1.5 * size
+    no_child_is_left()
+
+
+class _DiesWhenPickled:
+    """Kills the process that pickles it, so a child sending it has written
+    the part of its result before it and then dies."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_fork
+def test_an_item_whose_child_dies_mid_write_is_computed_here(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    results = fork_map(lambda x: (bytes([x]) * 1_000_000, os.getpid(), _DiesWhenPickled()), [1, 2, 3])
+    assert [data for data, _, _ in results] == [bytes([x]) * 1_000_000 for x in (1, 2, 3)]
+    assert all(pid == os.getpid() for _, pid, _ in results)
     no_child_is_left()
