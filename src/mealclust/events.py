@@ -21,8 +21,11 @@ One range reader (`_parse_lines`) parses a run of lines with its own
 vocabulary. A regular file with no quote and no carriage return, whose
 lines csv.reader would split at every "\n", is cut into one range per
 CPU, each parsed in its own process (`parallel.fork_map`); all other
-input is one range. The ranges are joined in order, their codes remapped
-into one sorted vocabulary, so the result does not depend on the cuts.
+input is one range. The ranges are joined in order, one column at a
+time, their codes remapped into one sorted vocabulary, so the result does
+not depend on the cuts. Events already in time order, as a log written
+while they happen holds them, are returned as joined; any others are
+sorted stably by time.
 """
 
 from __future__ import annotations
@@ -201,11 +204,11 @@ def _canonical_seconds(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and second <= 59, year within bounds), plus the mask of those rows.
     `parse_timestamp` accepts each of them with the same value; the other
     rows are left to it."""
-    digits = chars[:, _DIGIT_AT].astype(np.int64) - ord("0")
+    digits = chars[:, _DIGIT_AT].astype(np.int32) - ord("0")
     ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
     for pos, sep in _SEPARATOR_AT.items():
         ok &= chars[:, pos] == ord(sep)
-    year = digits[:, :4] @ [1000, 100, 10, 1]
+    year = (digits[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)).astype(np.int64)
     month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + (leap & (month == 2))
@@ -349,8 +352,10 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
     n = len(lines)
     lengths = np.fromiter(map(len, lines), np.intp, n)
     starts = np.cumsum(lengths + 1) - (lengths + 1)
-    raw = np.frombuffer(block, dtype=np.uint8)
-    head = raw[np.minimum(starts[:, None] + np.arange(_STAMP_BYTES + 1), len(raw) - 1)]
+    # each line's first _STAMP_BYTES + 1 bytes, read past the block's end
+    # into zeros; a line shorter than that is never fast
+    padded = np.frombuffer(block + bytes(_STAMP_BYTES + 1), dtype=np.uint8)
+    head = np.lib.stride_tricks.sliding_window_view(padded, _STAMP_BYTES + 1)[starts]
     seconds, fast = _canonical_seconds(head[:, :_STAMP_BYTES])
     fast &= (head[:, _STAMP_BYTES] == ord(",")) & (lengths > _STAMP_BYTES) & (lengths <= csv.field_size_limit())
 
@@ -554,9 +559,13 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     own bytes. Any other input, and a file under two blocks of CHUNK_BYTES
     or with one CPU to use, is one range parsed here. Either way the result
     is the same: the vocabulary `names` is sorted, whatever the ranges.
+    The ranges are joined one column at a time, each column's chunks
+    released once it is joined, so the parse holds the table about once
+    while joining it.
 
     Returns events sorted ascending by timestamp (stable, so equal
-    timestamps keep input order). Every data row lands either in the
+    timestamps keep input order). Events already in that order are
+    returned as joined, with no sort. Every data row lands either in the
     event table or in the rejection report, which is in line order.
 
     Raises SchemaError if the header is missing a required column or
@@ -591,20 +600,26 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     finally:
         if collecting:
             gc.enable()
-    chunks = [chunk for part, _, _ in parts for chunk in part]
-    columns = [np.concatenate(column) for column in zip(*chunks)] or [np.array([], np.int32)] * 6
-    # each range's codes, into its own vocabulary, become codes into `names`
+    rejections = [rejection for _, rejected, _ in parts for rejection in rejected]
     names = sorted(set().union(*(vocab for _, _, vocab in parts)))
     code = {name: i for i, name in enumerate(names)}
+    # each range's row count, and the map from its codes, into its own
+    # vocabulary, to codes into `names`
+    remaps = [(sum(len(seconds) for seconds, *_ in part), np.array([code[name] for name in vocab], dtype=np.int32))
+              for part, _, vocab in parts]
+    # the chunks by column, each column's released as soon as it is joined
+    stacks = list(zip(*(chunk for part, _, _ in parts for chunk in part))) or [[np.array([], np.int32)]] * 6
+    del parts
+    columns = [np.concatenate(stacks.pop(0)) for _ in range(len(stacks))]
     start = 0
-    for part, _, vocab in parts:
-        remap = np.array([code[name] for name in vocab], dtype=np.int32)
-        stop = start + sum(len(seconds) for seconds, *_ in part)
+    for rows, remap in remaps:
         for codes in columns[1:5]:
-            codes[start:stop] = remap[codes[start:stop]]
-        start = stop
+            codes[start:start + rows] = remap[codes[start:start + rows]]
+        start += rows
     events = EventTable(*columns, names)
-    rejections = [rejection for _, rejected, _ in parts for rejection in rejected]
+    # a stable sort of a column already in order leaves every row where it is
+    if (events.seconds[1:] >= events.seconds[:-1]).all():
+        return events, rejections
     return events.take(np.argsort(events.seconds, kind="stable")), rejections
 
 

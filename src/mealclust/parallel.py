@@ -99,8 +99,11 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 
     An item whose child could not start, died, raised or did not send its
     whole result is computed again in this process, so only this process
-    raises. Every child is reaped before this returns or raises.
+    raises. Every child is reaped before this returns or raises. No items
+    give [] with no fork.
     """
+    if not items:
+        return []
     children: list[tuple[int, BinaryIO] | None] = []
     try:
         for item in items[1:cpu_budget()]:

@@ -7,7 +7,7 @@ import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from unittest import mock
 
 import numpy as np
@@ -19,6 +19,7 @@ from mealclust.events import (
     DEFAULT_MEAL_LOCATIONS,
     REQUIRED_COLUMNS,
     SENSOR_KINDS,
+    TIMESTAMP_FORMAT,
     EventTable,
     Rejection,
     SchemaError,
@@ -911,3 +912,68 @@ def test_input_that_cannot_be_cut_is_parsed_without_forking(tmp_path, monkeypatc
         path.write_bytes(data)
         got = parse_file(path)
     assert_same_parse(got, expected)
+
+
+def in_order_rows(n, repeat=1, household="h"):
+    """`n` canonical rows in time order, 7 s apart, each timestamp on
+    `repeat` rows in a run; row j is from household f"{household}{j % 3}"
+    and sensor f"s{j % 7}"."""
+    start = datetime(2024, 3, 1)
+    return [row((start + timedelta(seconds=j // repeat * 7)).strftime(TIMESTAMP_FORMAT), hh=f"{household}{j % 3}",
+                sensor=f"s{j % 7}", kind=("motion", "contact")[j % 2], value=str(j % 2)) for j in range(n)]
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_an_in_order_file_is_parsed_holding_its_table_about_once(tmp_path, monkeypatch, cpus):
+    # no sort, and one column joined at a time: a sorted copy beside every
+    # column joined at once held the table three times or more
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 16 * 1024)
+    path = tmp_path / "events.csv"
+    path.write_text(HEADER + "".join(in_order_rows(20_000)))
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    tracemalloc.start()
+    try:
+        events, rejections = parse_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 20_000 and not rejections
+    assert len(forks) == cpus - 1
+    columns = ("seconds", "household", "sensor", "kind", "location", "value")
+    assert peak < 2 * sum(getattr(events, column).nbytes for column in columns)
+    no_child_is_left()
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork), pytest.param(3, marks=needs_fork)])
+def test_a_file_whose_later_ranges_hold_earlier_events_is_sorted_stably(tmp_path, monkeypatch, cpus):
+    # every timestamp of the first half comes again, in order, in the second
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)
+    text = HEADER + "".join(in_order_rows(3000, household="a") + in_order_rows(3000, household="b"))
+    set_cpus(monkeypatch, 1)
+    serial = parse_events(text.encode())
+    path = tmp_path / "events.csv"
+    path.write_text(text)
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    assert_same_parse(parse_file(path), serial)
+    assert len(forks) == cpus - 1
+    events, rejections = serial
+    assert [e.household_id[0] for e in events] == ["a", "b"] * 3000
+    assert (events, rejections) == reference_parse_events(text)
+    no_child_is_left()
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_an_in_order_file_keeps_input_order_on_equal_timestamps(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)
+    rows = in_order_rows(6000, repeat=4)
+    path = tmp_path / "events.csv"
+    path.write_text(HEADER + "".join(rows))
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    events, rejections = parse_file(path)
+    assert len(forks) == cpus - 1
+    assert [e.sensor_id for e in events] == [f"s{j % 7}" for j in range(6000)]
+    assert (events, rejections) == reference_parse_events(HEADER + "".join(rows))
+    no_child_is_left()

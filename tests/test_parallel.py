@@ -99,3 +99,14 @@ def test_an_item_whose_child_dies_mid_write_is_computed_here(monkeypatch):
     assert [data for data, _, _ in results] == [bytes([x]) * 1_000_000 for x in (1, 2, 3)]
     assert all(pid == os.getpid() for _, pid, _ in results)
     no_child_is_left()
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_no_items_give_no_results_and_no_fork(monkeypatch, budget):
+    set_cpus(monkeypatch, budget)
+
+    def forbidden_fork():
+        raise AssertionError("fork_map forked for no items")
+
+    monkeypatch.setattr(os, "fork", forbidden_fork, raising=False)
+    assert fork_map(lambda x: x, []) == []
