@@ -25,7 +25,8 @@ input is one range. The ranges are joined in order, one column at a
 time, their codes remapped into one sorted vocabulary, so the result does
 not depend on the cuts. Events already in time order, as a log written
 while they happen holds them, are returned as joined; any others are
-sorted stably by time.
+sorted stably by time. Given a location set, each range keeps only the
+events at those locations, after checking every row.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import io
 import os
 import stat
 import sys
-from collections.abc import Sequence
+from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain, compress, islice
@@ -250,11 +251,12 @@ def _header(reader, lines: Sequence[int]) -> dict[str, int]:
     return {col: header.index(col) for col in REQUIRED_COLUMNS}
 
 
-def _parse_chunk(rows: list[list[str]], lines: np.ndarray, idx: dict[str, int],
-                 vocab: dict[str, int]) -> tuple[list[np.ndarray], list[Rejection], np.ndarray]:
+def _parse_chunk(rows: list[list[str]], lines: np.ndarray, idx: dict[str, int], vocab: dict[str, int],
+                 locations: AbstractSet[str] | None) -> tuple[list[np.ndarray], list[Rejection], np.ndarray]:
     """The event columns (in `EventTable` order, codes from `vocab`), the
     rejections and the lines of the kept events of `rows`, which stand on
-    the input lines `lines`.
+    the input lines `lines`; events are kept at `locations` only, unless
+    it is None, after every row is checked.
 
     Each row is judged by the first check it fails, in the order: field
     count, timestamp, kind, value, location. A log repeats few distinct
@@ -289,16 +291,18 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray, idx: dict[str, int],
     fields = itemgetter(*(idx[c] for c in _FIELD_COLUMNS))
     of_row = np.array([distinct.setdefault(f, len(distinct)) for f in map(fields, full)], dtype=np.intp)
     stripped = [[s.strip() for s in f] for f in distinct]
-    household, sensor, kinds, locations, values = zip(*stripped) if stripped else [()] * 5
+    household, sensor, kinds, places, values = zip(*stripped) if stripped else [()] * 5
     errors = [_field_error(*f[2:]) for f in stripped]
 
     keep = ts_ok & np.array([e is None for e in errors], dtype=bool)[of_row]
     for i in np.flatnonzero(~keep).tolist():
         rejections.append(Rejection(int(lines[i]), ts_error.get(i) or errors[of_row[i]]))
     rejections.sort(key=lambda r: r.line)
+    if locations is not None:
+        keep &= np.array([place in locations for place in places], dtype=bool)[of_row]
 
     of_row = of_row[keep]
-    codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, locations)]
+    codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, places)]
     value = np.array([_BINARY.get(v, 0) for v in values], dtype=np.int8)[of_row]
     return [seconds[keep], *codes, value], rejections, lines[keep]
 
@@ -333,11 +337,13 @@ def _event_fields(rest: bytes, idx: dict[str, int]) -> tuple | None:
 
 
 def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, int],
-                 checked: dict[bytes, tuple | None]) -> tuple[list[np.ndarray], list[Rejection], int]:
-    """The event columns, the rejections and the line count of a block of
-    whole lines, the first on input line `line`, that holds no quote and no
-    carriage return (`_blocks` makes each line end of byte input "\\n"),
-    under a header whose first column is the timestamp.
+                 checked: dict[bytes, tuple | None],
+                 locations: AbstractSet[str] | None) -> tuple[list[np.ndarray], list[Rejection], int]:
+    """The event columns at `locations` (as in `_parse_chunk`), the
+    rejections and the line count of a block of whole lines, the first on
+    input line `line`, that holds no quote and no carriage return (`_blocks`
+    makes each line end of byte input "\\n"), under a header whose first
+    column is the timestamp.
 
     A canonical row, whose timestamp has the canonical shape and whose
     other fields are printable ASCII and pass every check, is parsed from
@@ -365,14 +371,15 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
     for rest in distinct.keys() - checked.keys():
         checked[rest] = _event_fields(rest, idx)
     fields = [checked[rest] for rest in distinct]
-    good = np.array([f is not None for f in fields], dtype=bool)
     at = np.flatnonzero(fast)
-    kept = good[of_row]
-    fast[at] = kept
-    at, of_row = at[kept], (np.cumsum(good) - 1)[of_row[kept]]
-    valid = [f for f in fields if f is not None]
-    household, sensor, kinds, locations, values = zip(*valid) if valid else [()] * 5
-    codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, locations)]
+    fast[at] = np.array([f is not None for f in fields], dtype=bool)[of_row]
+    # a valid row elsewhere is checked, not kept
+    wanted = np.array([f is not None and (locations is None or f[3] in locations) for f in fields], dtype=bool)
+    kept = wanted[of_row]
+    at, of_row = at[kept], (np.cumsum(wanted) - 1)[of_row[kept]]
+    valid = list(compress(fields, wanted))
+    household, sensor, kinds, places, values = zip(*valid) if valid else [()] * 5
+    codes = [_codes(vocab, column)[of_row] for column in (household, sensor, kinds, places)]
     columns = [seconds[at], *codes, np.array(values, dtype=np.int8)[of_row]]
 
     slow = np.flatnonzero(~fast)
@@ -386,7 +393,7 @@ def _parse_block(block: bytes, line: int, idx: dict[str, int], vocab: dict[str, 
         raise
     slow_lines = line + slow
     rows = _read(csv.reader(texts), len(texts), slow_lines)
-    slow_columns, rejections, slow_kept = _parse_chunk(rows, slow_lines, idx, vocab)
+    slow_columns, rejections, slow_kept = _parse_chunk(rows, slow_lines, idx, vocab, locations)
     order = np.argsort(np.concatenate([line + at, slow_kept]), kind="stable")
     return [np.concatenate(pair)[order] for pair in zip(columns, slow_columns)], rejections, n
 
@@ -508,11 +515,11 @@ def _line_ranges(fd: int, start: int, header: int) -> list[tuple[Iterator[bytes]
     return [(_blocks(_Pread(fd, a, b)), line) for a, b, line in zip(cuts, cuts[1:] + [at], lines) if a < b]
 
 
-def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int,
+def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int, locations: AbstractSet[str] | None,
                  reader=None) -> tuple[list[list[np.ndarray]], list[Rejection], list[str]]:
-    """The event columns of each chunk of `blocks`, runs of whole lines from
-    input line `line` on, with codes into the vocabulary returned last; and
-    the rejections, in line order.
+    """The event columns at `locations` of each chunk of `blocks`, runs of
+    whole lines from input line `line` on, with codes into the vocabulary
+    returned last; and the rejections, in line order.
 
     Under a header whose first column is the timestamp, each block is parsed
     from its bytes (`_parse_block`) up to the first that holds a quote or a
@@ -531,21 +538,26 @@ def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int,
                 if _framed(block):
                     blocks = chain([block], blocks)
                     break
-                columns, rejected, n = _parse_block(block, line, idx, vocab, checked)
+                columns, rejected, n = _parse_block(block, line, idx, vocab, checked, locations)
                 chunks.append(columns)
                 rejections.extend(rejected)
                 line += n
         reader, reader_lines = csv.reader(chain.from_iterable(_texts(blocks, line))), range(line, sys.maxsize)
     while rows := _read(reader, max(1, CHUNK_BYTES // _ROW_BYTES), reader_lines):
-        columns, rejected, _ = _parse_chunk(rows, np.arange(line, line + len(rows)), idx, vocab)
+        columns, rejected, _ = _parse_chunk(rows, np.arange(line, line + len(rows)), idx, vocab, locations)
         chunks.append(columns)
         rejections.extend(rejected)
         line += len(rows)
     return chunks, rejections, list(vocab)
 
 
-def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, list[Rejection]]:
+def parse_events(stream: BinaryIO | TextIO | bytes | str,
+                 locations: AbstractSet[str] | None = None) -> tuple[EventTable, list[Rejection]]:
     """Parse a sensor-log CSV into time-ordered events plus a rejection report.
+
+    With `locations` a set, only the events at those locations are kept,
+    as `filter_meal_locations` keeps them, so no range holds or sends the
+    others; every row is still checked, so the rejections are the same.
 
     `stream` is bytes, a binary stream, a str or a text stream; text is
     read whole and encoded to UTF-8. Bytes are read as UTF-8 with
@@ -565,14 +577,18 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
 
     Returns events sorted ascending by timestamp (stable, so equal
     timestamps keep input order). Events already in that order are
-    returned as joined, with no sort. Every data row lands either in the
-    event table or in the rejection report, which is in line order.
+    returned as joined, with no sort. Every data row lands in the event
+    table, in the rejection report, which is in line order, or, valid at
+    a location not in `locations`, in neither.
 
-    Raises SchemaError if the header is missing a required column or
+    Raises ValueError for an empty `locations`, and SchemaError if the
+    header is missing a required column or
     carries an unknown or a repeated one, if the file is not well-formed
     CSV, or at its first line that is not valid UTF-8, naming that line
     and the offset of the bad byte in it.
     """
+    if locations is not None:
+        check_locations(locations)
     file = _file(stream)
     blocks = _blocks(stream)
     head = next(blocks, b"")
@@ -596,7 +612,7 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str) -> tuple[EventTable, l
     try:
         # a range that fails in its child is parsed again here, so the
         # error of the earliest failing range is the one raised
-        parts = parallel.fork_map(lambda r: _parse_lines(idx, *r), ranges)
+        parts = parallel.fork_map(lambda r: _parse_lines(idx, r[0], r[1], locations, *r[2:]), ranges)
     finally:
         if collecting:
             gc.enable()
@@ -642,12 +658,15 @@ def filter_meal_locations(
 
 def group_by_household(events: Iterable[SensorEvent]) -> dict[str, EventTable]:
     """Split an event stream into per-household streams, order preserved,
-    keyed in order of each household's first event."""
+    keyed in order of each household's first event. The streams are slices
+    of one copy of the events sorted stably by household."""
     table = EventTable.from_events(events)
     order = np.argsort(table.household, kind="stable")
-    codes, starts = np.unique(table.household[order], return_index=True)
-    groups = sorted(zip(np.split(order, starts[1:]), codes.tolist()), key=lambda g: g[0][0])
-    return {table.names[code]: table.take(rows) for rows, code in groups}
+    table = table.take(order)
+    codes, starts = np.unique(table.household, return_index=True)
+    bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(table)])
+    groups = sorted(zip(bounds, codes.tolist()), key=lambda g: order[g[0][0]])
+    return {table.names[code]: table[start:stop] for (start, stop), code in groups}
 
 
 def field_types(record_type: type) -> dict[str, type]:

@@ -1,5 +1,9 @@
-"""End-to-end pipeline: ingest -> filter -> segment -> featurize ->
+"""End-to-end pipeline: ingest -> segment -> featurize ->
 three-algorithm DBI sweeps -> per-household reports on disk.
+
+A run keeps only the events at `RunConfig.locations` from the parse on,
+while its rejection report still covers every row; the households'
+event streams are slices of one copy of those events.
 
 Households are processed independently; a failure in one (no episodes,
 a GMM numerical collapse, all-undefined DBSCAN sweep, an artifact that
@@ -95,14 +99,15 @@ def _json_bytes(obj) -> str:
 
 
 def _load_events(config: RunConfig):
+    """The events at `config.locations` and the rejections of every row."""
     try:
         if config.input_path is not None:
             with open(config.input_path, "rb") as fh:
-                return events_mod.parse_events(fh)
+                return events_mod.parse_events(fh, config.locations)
         profile = synth_mod.load_profile(config.synth_profile_path)
     except OSError as exc:
         raise SchemaError(f"unreadable input: {exc}") from exc
-    return synth_mod.generate_trace(profile), []
+    return events_mod.filter_meal_locations(synth_mod.generate_trace(profile), config.locations), []
 
 
 def _process_household(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> None:
@@ -238,14 +243,13 @@ def _run_households(jobs: list[tuple]) -> list[str | None]:
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full pipeline, writing per-household artifact directories."""
     config.validate()
-    all_events, rejections = _load_events(config)
+    events, rejections = _load_events(config)
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     if rejections:
         (out_root / "rejections.csv").write_text(records_to_csv(events_mod.Rejection, rejections))
-
-    meal_events = events_mod.filter_meal_locations(all_events, config.locations)
-    groups = events_mod.group_by_household(meal_events)
+    groups = events_mod.group_by_household(events)
+    del events, rejections  # the groups hold the only copy of the events
     if not groups:
         return PipelineResult(exit_code=EXIT_PIPELINE_ERROR, failures=["no episodes"], households=[])
 

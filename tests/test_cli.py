@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from mealclust import events as events_mod
 from mealclust import gmm, kmeans, pipeline, validation
 from mealclust.cli import build_parser, main
 from mealclust.episodes import ActivityEpisode
-from mealclust.events import SensorEvent, parse_events, records_from_csv, records_to_csv
+from mealclust.events import SensorEvent, filter_meal_locations, parse_events, records_from_csv, records_to_csv
 from mealclust.gmm import FitError
 from mealclust.synth import default_profile, format_profile, generate_trace
 from mealclust.validation import SweepEntry, SweepReport
@@ -837,3 +838,67 @@ def test_input_files_never_mutated(tmp_path, profile_path):
     before = (gen / "trace.csv").read_bytes()
     run_cli("run", "--input", gen / "trace.csv", "--out", tmp_path / "out")
     assert (gen / "trace.csv").read_bytes() == before
+
+
+def load_then_filter(config):
+    """What a run loaded before the parse kept only meal locations: every
+    valid event, filtered afterwards."""
+    with open(config.input_path, "rb") as fh:
+        events, rejections = parse_events(fh)
+    return filter_meal_locations(events, config.locations), rejections
+
+
+@pytest.mark.parametrize("locations", [None, frozenset({"kitchen"})])
+@pytest.mark.parametrize("source", ["input", "synth_profile"])
+def test_loaded_events_are_all_at_the_run_locations(tmp_path, profile_path, source, locations):
+    if source == "input":
+        run_cli("generate", "--profile", profile_path, "--out", tmp_path / "gen")
+        config = pipeline.RunConfig(input_path=tmp_path / "gen" / "trace.csv")
+    else:
+        config = pipeline.RunConfig(synth_profile_path=profile_path)
+    if locations:
+        config.locations = locations
+    events, rejections = pipeline._load_events(config)
+    trace = generate_trace(default_profile(days=40, seed=21))
+    assert {e.location for e in trace} - config.locations  # the trace has events elsewhere
+    assert {e.location for e in events} <= config.locations
+    assert events == filter_meal_locations(trace, config.locations) and not rejections
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_household_with_no_meal_events_is_absent_as_before(tmp_path, profile_path, monkeypatch, cpus):
+    merged = copies_of_house_1(tmp_path, profile_path, "house-1")
+    elsewhere = [f"2024-03-0{d}T0{h}:00:00,house-2,s{h},motion,bedroom,1" for d in range(1, 4) for h in range(8)]
+    merged.write_text(merged.read_text() + "\n".join(elsewhere) + "\n")
+    set_cpus(monkeypatch, cpus)
+    config = pipeline.RunConfig(input_path=merged, out_dir=tmp_path / "out")
+    assert list(events_mod.group_by_household(pipeline._load_events(config)[0])) == ["house-1"]
+    assert pipeline.run_pipeline(config).households == ["house-1"]
+    monkeypatch.setattr(pipeline, "_load_events", load_then_filter)
+    before = pipeline.run_pipeline(dataclasses.replace(config, out_dir=tmp_path / "before"))
+    assert before.households == ["house-1"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["house-1"]
+    assert sha256_tree(tmp_path / "out") == sha256_tree(tmp_path / "before")
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rejections_cover_every_room_as_before(tmp_path, monkeypatch, cpus):
+    from test_events import fleet_like_text
+
+    path = tmp_path / "fleet.csv"
+    path.write_text(fleet_like_text())
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)  # two ranges at 2 CPUs
+    set_cpus(monkeypatch, cpus)
+    config = pipeline.RunConfig(input_path=path, out_dir=tmp_path / "out", k_range=range(2, 4),
+                                g_range=range(2, 4), eps_values=[1.0, 5.0])
+    pipeline.run_pipeline(config)
+    rejected = records_from_csv(events_mod.Rejection, (tmp_path / "out" / "rejections.csv").read_text())
+    rooms = {line.split(",")[4].strip() for i, line in enumerate(path.read_text().splitlines(), 1)
+             if i in {r.line for r in rejected} and line.count(",") == 5}
+    assert {"kitchen", "bedroom"} <= rooms
+    monkeypatch.setattr(pipeline, "_load_events", load_then_filter)
+    pipeline.run_pipeline(dataclasses.replace(config, out_dir=tmp_path / "before"))
+    assert (tmp_path / "out" / "rejections.csv").read_bytes() == (tmp_path / "before" / "rejections.csv").read_bytes()
+    assert sha256_tree(tmp_path / "out") == sha256_tree(tmp_path / "before")

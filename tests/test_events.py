@@ -977,3 +977,127 @@ def test_an_in_order_file_keeps_input_order_on_equal_timestamps(tmp_path, monkey
     assert [e.sensor_id for e in events] == [f"s{j % 7}" for j in range(6000)]
     assert (events, rejections) == reference_parse_events(HEADER + "".join(rows))
     no_child_is_left()
+
+
+# -- keeping the events at some locations ----------------------------------------
+
+def assert_keeps_only(got, unfiltered, locations):
+    """`got`, a parse at `locations`, holds the events of `unfiltered`, a
+    parse of the same input at every location, that `filter_meal_locations`
+    keeps, and the same rejections."""
+    (events, rejections), (all_events, all_rejections) = got, unfiltered
+    assert isinstance(events, EventTable)
+    assert events == filter_meal_locations(all_events, locations)
+    assert {e.location for e in events} <= set(locations)
+    assert rejections == all_rejections
+
+
+@needs_fork
+@pytest.mark.parametrize("locations", [DEFAULT_MEAL_LOCATIONS, {"bedroom"}, {"hall"}])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_parse_at_some_locations_equals_the_filtered_parse(tmp_path, monkeypatch, cpus, locations):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)
+    text = fleet_like_text()
+    path = tmp_path / "fleet.csv"
+    path.write_text(text)
+    set_cpus(monkeypatch, 1)
+    unfiltered = parse_events(text.encode())
+    set_cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    with open(path, "rb") as fh:
+        got = parse_events(fh, locations)
+        assert fh.read() == b""
+    assert len(forks) == cpus - 1
+    no_child_is_left()
+    assert_keeps_only(got, unfiltered, locations)
+    assert 0 < len(got[0]) < len(unfiltered[0]) or locations == {"hall"}
+
+
+@pytest.mark.parametrize("source", ["quoted file", "CRLF file", "text stream", "pipe", "bytes", "str"])
+def test_a_parse_read_by_csv_reader_keeps_only_its_locations(tmp_path, monkeypatch, source):
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 4096)
+    text = fleet_like_text(rows=600)
+    if source == "quoted file":
+        text = text.replace(",kitchen,", ',"kitchen",')
+    data = text.replace("\n", "\r\n" if source == "CRLF file" else "\n").encode()
+    set_cpus(monkeypatch, 2)
+    unfiltered = parse_events(data)
+    if source in ("quoted file", "CRLF file"):
+        path = tmp_path / "events.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            got = parse_events(fh, {"kitchen"})
+    elif source == "pipe":
+        stream, thread = _fed_by_a_thread(data)
+        with stream:
+            got = parse_events(stream, {"kitchen"})
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    else:
+        got = parse_events({"text stream": io.StringIO(text), "bytes": data, "str": text}[source], {"kitchen"})
+    assert_keeps_only(got, unfiltered, {"kitchen"})
+    assert got[0] and got[1]
+
+
+def test_malformed_rows_elsewhere_are_still_rejected():
+    good = row("2024-03-01T08:00:00")
+    bad = [
+        row("2024-03-01 08:00:01", loc="bedroom"),  # bad timestamp
+        row("1999-03-01T08:00:02", loc="bedroom"),  # canonical shape, out of bounds
+        row("2024-03-01T08:00:03", loc="bedroom", kind="pressure"),
+        row("2024-03-01T08:00:04", loc="bedroom", value="2"),
+        row("2024-03-01T08:00:05", loc="bedroom").rstrip("\n") + ",extra\n",
+        " " + row("2024-03-01T08:00:06", loc="bedroom"),  # read by csv.reader, valid
+        row("2024-03-01T08:00:07", loc="bedroomé"),  # read by csv.reader, valid
+    ]
+    text = HEADER + good + "".join(bad) + good
+    for source in (text, text.encode(), text.replace("\n", "\r\n").encode()):
+        events, rejections = parse_events(source, {"kitchen"})
+        assert [e.location for e in events] == ["kitchen", "kitchen"]
+        assert [r.line for r in rejections] == [3, 4, 5, 6, 7]
+        assert rejections == parse_events(source)[1] == reference_parse_events(text)[1]
+
+
+def test_canonical_rows_elsewhere_stay_on_the_byte_path(monkeypatch):
+    def forbidden_parse_chunk(*args):
+        raise AssertionError("a canonical row went through csv.reader")
+
+    monkeypatch.setattr(events_mod, "_parse_chunk", forbidden_parse_chunk)
+    text = HEADER + row("2024-03-01T08:00:00", loc="bedroom") + row("2024-03-01T08:00:01")
+    events, rejections = parse_events(text.encode(), {"kitchen"})
+    assert [e.location for e in events] == ["kitchen"] and not rejections
+
+
+def test_an_empty_location_set_is_refused():
+    with pytest.raises(ValueError, match="non-empty"):
+        parse_events(HEADER + row("2024-03-01T08:00:00"), set())
+
+
+_ROOMS = ["kitchen", "dining_room", "bedroom", " hall "]
+
+
+@needs_fork
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.one_of(_mixed_rows(_UNQUOTED_ROWS, ["\n"]), _mixed_rows([*_UNQUOTED_ROWS, *_VARIANTS], ["\n", "\r\n"])),
+    rooms=st.lists(st.sampled_from(_ROOMS), min_size=30, max_size=30),
+    locations=st.sets(st.sampled_from([*_ROOMS, "hall"]), min_size=1),
+    chunk_bytes=st.sampled_from([64, 4096]),
+    cpus=st.sampled_from([1, 2, 3]),
+)
+def test_a_parse_at_some_locations_equals_the_filtered_parse_property(rows, rooms, locations, chunk_bytes, cpus):
+    rows = [(replace(e, location=room), kind, end) for (e, kind, end), room in zip(rows, rooms)]
+    text = HEADER + "".join(_mixed_line(e, kind, REQUIRED_COLUMNS) + end for e, kind, end in rows)
+    data = text.encode()
+    with mock.patch.object(events_mod, "CHUNK_BYTES", chunk_bytes), tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.seek(0)
+        unfiltered = _outcome(parse_events, data)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            got = _outcome(lambda source: parse_events(source, locations), fh)
+        no_child_is_left()
+        assert _outcome(lambda source: parse_events(source, locations), text) == got
+    if unfiltered == "malformed CSV":
+        assert got == unfiltered
+    else:
+        assert got == (filter_meal_locations(unfiltered[0], locations), unfiltered[1])
