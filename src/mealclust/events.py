@@ -656,17 +656,18 @@ def filter_meal_locations(
     return table.take(np.isin(table.location, wanted))
 
 
-def group_by_household(events: Iterable[SensorEvent]) -> dict[str, EventTable]:
-    """Split an event stream into per-household streams, order preserved,
-    keyed in order of each household's first event. The streams are slices
-    of one copy of the events sorted stably by household."""
-    table = EventTable.from_events(events)
-    order = np.argsort(table.household, kind="stable")
-    table = table.take(order)
-    codes, starts = np.unique(table.household, return_index=True)
-    bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(table)])
-    groups = sorted(zip(bounds, codes.tolist()), key=lambda g: order[g[0][0]])
-    return {table.names[code]: table[start:stop] for (start, stop), code in groups}
+def household_codes(table: EventTable) -> dict[str, int]:
+    """Each household id of `table`, in id order, with its code into
+    `table.names`."""
+    present = np.flatnonzero(np.bincount(table.household, minlength=len(table.names)))
+    return dict(sorted((table.names[code], code) for code in present.tolist()))
+
+
+def household_events(table: EventTable, code: int) -> EventTable:
+    """The events of the household `code`, order preserved: `table` itself
+    when it holds no other household, so no copy is taken."""
+    rows = table.household == code
+    return table if rows.all() else table.take(rows)
 
 
 def field_types(record_type: type) -> dict[str, type]:

@@ -2,24 +2,23 @@
 three-algorithm DBI sweeps -> per-household reports on disk.
 
 A run keeps only the events at `RunConfig.locations` from the parse on,
-while its rejection report still covers every row; the households'
-event streams are slices of one copy of those events.
+while its rejection report still covers every row. Each household takes
+its own rows from that one table in the process that runs it; a
+household that holds every event uses the table as is.
 
 Households are processed independently; a failure in one (no episodes,
 a GMM numerical collapse, all-undefined DBSCAN sweep, an artifact that
 cannot be written, a worker process that dies) is reported but never
-aborts the others. With more than one usable CPU and household, the
-households run in forked worker processes, one per CPU; the artifacts,
-messages and exit code are those of running them one after another.
+aborts the others. With more than one usable CPU and household, they run
+in forked children, one per CPU up to one per household, that pull
+household after household (`parallel.fork_each`), each child given the
+run's CPUs divided by the children; the artifacts, messages and exit
+code are those of running them one after another in this process.
 
-`parallel.cpu_budget` owns the CPU count: a pool worker gets the run's
-CPUs divided by the pool's size, so with no more CPUs than households it
-sweeps in one process, while a household run in this process spreads its
-GMM sweep's g range over every CPU (see `validation.sweep_gmm`). A
-household sweeps K-Means, DBSCAN, then GMM, through `parallel.fork_map`,
-which keeps at most the budget's processes busy: with a spare CPU the
-DBSCAN sweep runs in one forked child beside K-Means and is collected
-before the GMM sweep forks; with one CPU both run in this process.
+A household sweeps K-Means, DBSCAN, then GMM, through `parallel.fork_map`,
+which keeps at most `parallel.cpu_budget()` processes busy: with a spare
+CPU the DBSCAN sweep runs in one forked child beside K-Means and is
+collected before the GMM sweep forks its g range over every CPU.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from mealclust import features as features_mod
 from mealclust import synth as synth_mod
 from mealclust.events import SchemaError, SensorEvent, records_to_csv
 from mealclust.gmm import CategoryRow, FitError, category_summary
-from mealclust.parallel import cpu_budget, fork_map, set_cpu_budget
+from mealclust.parallel import fork_each, fork_map
 from mealclust.validation import (
     DEFAULT_EPS_VALUES,
     DEFAULT_G_RANGE,
@@ -179,67 +178,6 @@ def _process_household(household_id: str, hh_events, config: RunConfig, out_dir:
         raise db_report
 
 
-def _household_outcome(household_id: str, hh_events, config: RunConfig, out_dir: Path) -> str | None:
-    """Run one household: None if it succeeded, else its one-line failure."""
-    try:
-        _process_household(household_id, hh_events, config, out_dir)
-    except (SweepError, FitError, ValueError, OSError) as exc:
-        return f"{household_id}: {exc}"
-    return None
-
-
-_DIED = object()  # the outcome of a household whose worker pool broke
-
-
-def _in_pool(jobs: list[tuple], workers: int) -> list:
-    """The `_household_outcome` of each job, from `workers` forked processes.
-
-    A job reads `_DIED` when a worker died before it finished, its own or
-    another: a broken pool fails every unfinished job. Each worker may use
-    its share of this process's CPUs. The pool is shut down, its workers
-    joined, before this returns or raises.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # The start method is explicit: Python 3.14 moves the Linux default
-    # away from fork, and spawn would re-import numpy in every worker.
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=set_cpu_budget, initargs=(cpu_budget() // workers,))
-    try:
-        futures = [pool.submit(_household_outcome, *job) for job in jobs]
-        outcomes = []
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BrokenProcessPool:
-                outcomes.append(_DIED)
-        return outcomes
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _run_households(jobs: list[tuple]) -> list[str | None]:
-    """The `_household_outcome` of each job, in order.
-
-    Jobs run in this process when there is one CPU or one job, else in a
-    pool of one worker per CPU, at most one per job. Each job whose pool
-    broke runs again alone in a fresh worker, so a worker that dies fails
-    only its own household.
-    """
-    workers = min(cpu_budget(), len(jobs))
-    if workers < 2:
-        return [_household_outcome(*job) for job in jobs]
-    outcomes = _in_pool(jobs, workers)
-    for i, job in enumerate(jobs):
-        if outcomes[i] is _DIED:
-            [outcomes[i]] = _in_pool([job], 1)
-            if outcomes[i] is _DIED:
-                outcomes[i] = f"{job[0]}: worker process died"
-    return outcomes
-
-
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Run the full pipeline, writing per-household artifact directories."""
     config.validate()
@@ -248,15 +186,24 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     out_root.mkdir(parents=True, exist_ok=True)
     if rejections:
         (out_root / "rejections.csv").write_text(records_to_csv(events_mod.Rejection, rejections))
-    groups = events_mod.group_by_household(events)
-    del events, rejections  # the groups hold the only copy of the events
-    if not groups:
+    del rejections
+    households = events_mod.household_codes(events)
+    if not households:
         return PipelineResult(exit_code=EXIT_PIPELINE_ERROR, failures=["no episodes"], households=[])
 
-    household_ids = sorted(groups)
-    outcomes = _run_households([(hid, groups[hid], config, out_root / hid) for hid in household_ids])
+    def outcome(household_id: str) -> str | None:
+        """None if the household succeeded, else its one-line failure; its
+        events are taken in the process that runs it."""
+        try:
+            _process_household(household_id, events_mod.household_events(events, households[household_id]),
+                               config, out_root / household_id)
+        except (SweepError, FitError, ValueError, OSError) as exc:
+            return f"{household_id}: {exc}"
+        return None
+
+    outcomes = fork_each(outcome, list(households), lambda household_id: f"{household_id}: worker process died")
     failures = [outcome for outcome in outcomes if outcome is not None]
-    processed = [hid for hid, outcome in zip(household_ids, outcomes) if outcome is None]
+    processed = [hid for hid, outcome in zip(households, outcomes) if outcome is None]
     exit_code = EXIT_OK if not failures else EXIT_PIPELINE_ERROR
     return PipelineResult(exit_code=exit_code, failures=failures, households=processed)
 

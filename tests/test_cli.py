@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import inspect
 import json
@@ -9,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mealclust import events as events_mod
@@ -651,11 +651,17 @@ FULL_ARTIFACTS = sorted([
 ])
 
 
-def forbid_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+def forbid_household_children(monkeypatch):
+    """Make a household processed outside this process raise; a child's
+    exception is raised again here, so the run raises."""
+    process_household, parent = pipeline._process_household, os.getpid()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def here_only(*args):
+        if os.getpid() != parent:
+            raise AssertionError("a household ran in a child")
+        return process_household(*args)
+
+    monkeypatch.setattr(pipeline, "_process_household", here_only)
 
 
 @needs_fork
@@ -667,7 +673,7 @@ def test_pool_output_matches_the_serial_run(tmp_path, profile_path, monkeypatch,
     for cpus in (3, 1):
         set_cpus(monkeypatch, cpus)
         if cpus == 1:
-            forbid_pool(monkeypatch)
+            forbid_household_children(monkeypatch)
         out = tmp_path / f"out-{cpus}"
         code = run_cli("run", "--input", merged, "--out", out)
         captured = capsys.readouterr()
@@ -683,9 +689,12 @@ def test_pool_output_matches_the_serial_run(tmp_path, profile_path, monkeypatch,
 
 
 @needs_fork
-def test_dead_worker_fails_only_its_household(tmp_path, profile_path, monkeypatch, capsys):
-    # the forked workers inherit the patch; the parent never runs a household
-    merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_dead_worker_fails_only_its_household(tmp_path, profile_path, monkeypatch, capsys, cpus):
+    # more households than children: the dead child is replaced, and the
+    # households pulled after its death get their full artifacts
+    households = [f"house-{i}" for i in range(cpus + 3)]
+    merged = copies_of_house_1(tmp_path, profile_path, *households)
     process_household = pipeline._process_household
 
     def dying_process_household(household_id, *args):
@@ -694,12 +703,76 @@ def test_dead_worker_fails_only_its_household(tmp_path, profile_path, monkeypatc
         return process_household(household_id, *args)
 
     monkeypatch.setattr(pipeline, "_process_household", dying_process_household)
-    set_cpus(monkeypatch, 3)
+    set_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     assert run_cli("run", "--input", merged, "--out", out) == 3
     assert capsys.readouterr().err == "mealclust: pipeline error: house-1: worker process died\n"
-    for household_id in ("house-0", "house-2"):
-        assert sorted(p.name for p in (out / household_id).iterdir()) == FULL_ARTIFACTS
+    for household_id in households:
+        if household_id != "house-1":
+            assert sorted(p.name for p in (out / household_id).iterdir()) == FULL_ARTIFACTS
+    no_child_is_left()
+
+
+def fork_after_the_parse(monkeypatch, fork):
+    """Make os.fork `fork` once a run has loaded its events, so the parse's
+    own range children fork as before."""
+    load_events = pipeline._load_events
+
+    def loading(config):
+        loaded = load_events(config)
+        monkeypatch.setattr(os, "fork", fork)
+        return loaded
+
+    monkeypatch.setattr(pipeline, "_load_events", loading)
+
+
+@needs_fork
+def test_households_run_here_when_no_child_can_fork(tmp_path, profile_path, monkeypatch, capsys):
+    # both household children fail to fork; the households' own forks do not
+    merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+    collapse_gmm_of(monkeypatch, "house-2")
+    capsys.readouterr()
+    set_cpus(monkeypatch, 1)
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "serial") == 3
+    serial = capsys.readouterr()
+    real_fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(1)
+        if len(forks) <= 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    fork_after_the_parse(monkeypatch, failing_fork)
+    set_cpus(monkeypatch, 2)
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "forked") == 3
+    forked = capsys.readouterr()
+    assert len(forks) > 2  # each household forked its DBSCAN child
+    assert sha256_tree(tmp_path / "forked") == sha256_tree(tmp_path / "serial")
+    assert forked.out == serial.out.replace("serial", "forked") and forked.err == serial.err
+    no_child_is_left()
+
+
+@needs_fork
+def test_household_children_are_reused(tmp_path, profile_path, monkeypatch):
+    # six households at 2 CPUs: two children pull them all
+    households = [f"house-{i}" for i in range(6)]
+    merged = copies_of_house_1(tmp_path, profile_path, *households)
+    set_cpus(monkeypatch, 2)
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    fork_after_the_parse(monkeypatch, counting_fork)
+    logged = log_sweeps(monkeypatch, tmp_path / "sweeps.jsonl")
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "out") == 0
+    assert len(forks) <= 2
+    pids = {pid for what, pid, _ in logged() if what == "kmeans start"}
+    assert len(pids) <= 2 and os.getpid() not in pids
+    for household_id in households:
+        assert sorted(p.name for p in (tmp_path / "out" / household_id).iterdir()) == FULL_ARTIFACTS
     no_child_is_left()
 
 
@@ -756,10 +829,10 @@ def test_each_gmm_is_fitted_once_per_g_across_processes(tmp_path, profile_path, 
     (3, HOUSEHOLDS, [list(range(2, 11))] * 3),
     (4, HOUSEHOLDS[:2], [[2, 3, 6, 7, 10], [4, 5, 8, 9]] * 2),
 ])
-def test_pool_workers_split_their_sweeps_over_their_share_of_cpus(tmp_path, profile_path, monkeypatch,
-                                                                   cpus, households, shares):
-    # each worker gets cpus // workers: 3 CPUs over 3 workers fit each
-    # household in one lockstep call; 4 CPUs over 2 workers, in two
+def test_household_children_split_their_sweeps_over_their_share_of_cpus(tmp_path, profile_path, monkeypatch,
+                                                                         cpus, households, shares):
+    # each child gets cpus // children: 3 CPUs over 3 children fit each
+    # household in one lockstep call; 4 CPUs over 2 children, in two
     merged = copies_of_house_1(tmp_path, profile_path, *households)
     set_cpus(monkeypatch, cpus)
     calls = log_gmm_fits(monkeypatch, tmp_path / "fits.jsonl")
@@ -795,7 +868,7 @@ def forbidden_fork():
 
 @pytest.mark.parametrize("case", ["one household", "no fork", "no affinity, one CPU"])
 def test_households_run_in_process_without_a_pool(tmp_path, profile_path, monkeypatch, case):
-    forbid_pool(monkeypatch)
+    forbid_household_children(monkeypatch)
     set_cpus(monkeypatch, 3)
     if case == "one household":
         merged = copies_of_house_1(tmp_path, profile_path, "house-1")
@@ -817,19 +890,59 @@ def test_import_loads_no_pool_machinery():
     assert result.stdout == "[]\n"
 
 
-def test_a_one_household_run_at_2_cpus_loads_no_pool_machinery(tmp_path, profile_path):
-    # the DBSCAN child and the GMM shares are forked by `parallel`, not by a pool
+def modules_loaded_by_a_run_at_2_cpus(input_flag, path, out):
+    """Which of multiprocessing and concurrent.futures a fresh interpreter
+    has loaded after one run at 2 CPUs."""
     code = (
         "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from mealclust.cli import main\n"
-        "assert main(['run', '--synth-profile', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert main(['run', sys.argv[1], sys.argv[2], '--out', sys.argv[3]]) == 0\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code, str(profile_path), str(tmp_path / "out")],
+    result = subprocess.run([sys.executable, "-c", code, input_flag, str(path), str(out)],
                             env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_a_one_household_run_at_2_cpus_loads_no_pool_machinery(tmp_path, profile_path):
+    # the DBSCAN child and the GMM shares are forked by `parallel`, not by a pool
+    assert modules_loaded_by_a_run_at_2_cpus("--synth-profile", profile_path, tmp_path / "out") == "[]"
     assert (tmp_path / "out" / "house-1" / "summary.json").exists()
+
+
+@needs_fork
+def test_a_three_household_run_at_2_cpus_loads_no_pool_machinery(tmp_path, profile_path):
+    # the household children too are forked by `parallel`
+    merged = copies_of_house_1(tmp_path, profile_path, *HOUSEHOLDS)
+    assert modules_loaded_by_a_run_at_2_cpus("--input", merged, tmp_path / "out") == "[]"
+    for household_id in HOUSEHOLDS:
+        assert sorted(p.name for p in (tmp_path / "out" / household_id).iterdir()) == FULL_ARTIFACTS
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_a_one_household_run_holds_one_copy_of_its_events(tmp_path, profile_path, monkeypatch, cpus):
+    # the household's events are the parsed table itself, not a copy of it
+    merged = copies_of_house_1(tmp_path, profile_path, "house-1")
+    set_cpus(monkeypatch, cpus)
+    load_events, process_household = pipeline._load_events, pipeline._process_household
+    loaded, given = [], []
+
+    def loading(config):
+        loaded.append(load_events(config)[0])
+        return loaded[-1], []
+
+    def processing(household_id, hh_events, *args):
+        given.append(hh_events)
+        return process_household(household_id, hh_events, *args)
+
+    monkeypatch.setattr(pipeline, "_load_events", loading)
+    monkeypatch.setattr(pipeline, "_process_household", processing)
+    assert run_cli("run", "--input", merged, "--out", tmp_path / "out") == 0
+    [table], [hh_events] = loaded, given
+    assert len(hh_events) == len(table) > 0
+    for column in ("seconds", "household", "sensor", "kind", "location", "value"):
+        assert np.shares_memory(getattr(hh_events, column), getattr(table, column))
 
 
 def test_input_files_never_mutated(tmp_path, profile_path):
@@ -873,7 +986,7 @@ def test_a_household_with_no_meal_events_is_absent_as_before(tmp_path, profile_p
     merged.write_text(merged.read_text() + "\n".join(elsewhere) + "\n")
     set_cpus(monkeypatch, cpus)
     config = pipeline.RunConfig(input_path=merged, out_dir=tmp_path / "out")
-    assert list(events_mod.group_by_household(pipeline._load_events(config)[0])) == ["house-1"]
+    assert list(events_mod.household_codes(pipeline._load_events(config)[0])) == ["house-1"]
     assert pipeline.run_pipeline(config).households == ["house-1"]
     monkeypatch.setattr(pipeline, "_load_events", load_then_filter)
     before = pipeline.run_pipeline(dataclasses.replace(config, out_dir=tmp_path / "before"))

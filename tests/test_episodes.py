@@ -12,7 +12,8 @@ from mealclust.events import (
     EventTable,
     SensorEvent,
     filter_meal_locations,
-    group_by_household,
+    household_codes,
+    household_events,
     records_from_csv,
     records_to_csv,
 )
@@ -193,7 +194,7 @@ def test_table_and_list_inputs_agree():
     table = EventTable.from_events(events)
     assert segment_episodes(table, min_events=1) == segment_episodes(events, min_events=1)
     assert [e.household_id for e in segment_episodes(table, min_duration_min=0, min_events=1)] == ["a", "b"]
-    assert segment_episodes(group_by_household(table)["a"], min_duration_min=0) == reference_segment_episodes(
+    assert segment_episodes(household_events(table, household_codes(table)["a"]), min_duration_min=0) == reference_segment_episodes(
         [e for e in events if e.household_id == "a"], min_duration_min=0)
 
 

@@ -25,7 +25,8 @@ from mealclust.events import (
     SchemaError,
     SensorEvent,
     filter_meal_locations,
-    group_by_household,
+    household_codes,
+    household_events,
     parse_events,
     parse_timestamp,
     records_from_csv,
@@ -561,14 +562,18 @@ def test_table_slicing_and_indexing():
     assert events != rows[:1] and events != "ab"
 
 
-def test_group_by_household_keeps_order_and_first_appearance():
+def test_households_split_in_id_order_keeping_event_order():
     text = (HEADER + row("2024-03-01T08:00:00", hh="b") + row("2024-03-01T08:00:00", hh="a")
             + row("2024-03-01T09:00:00", hh="b", sensor="s2"))
     events, _ = parse_events(text)
-    groups = group_by_household(events)
-    assert list(groups) == ["b", "a"]
+    codes = household_codes(events)
+    assert list(codes) == ["a", "b"]
+    groups = {household: household_events(events, code) for household, code in codes.items()}
     assert groups["b"] == [e for e in events if e.household_id == "b"]
+    assert groups["a"] == [e for e in events if e.household_id == "a"]
     assert all(isinstance(g, EventTable) for g in groups.values())
+    # a table of one household is its own split, not a copy
+    assert household_events(groups["b"], household_codes(groups["b"])["b"]) is groups["b"]
 
 
 # -- properties ---------------------------------------------------------------
@@ -605,12 +610,12 @@ def test_table_equals_event_list_property(events, locations):
     table = EventTable.from_events(events)
     assert table == events and list(table) == events and len(table) == len(events)
     assert filter_meal_locations(table, locations) == [e for e in events if e.location in locations]
-    groups = group_by_household(table)
+    codes = household_codes(table)
     expected: dict = {}
     for e in events:
         expected.setdefault(e.household_id, []).append(e)
-    assert list(groups) == list(expected)
-    assert all(groups[h] == expected[h] for h in expected)
+    assert list(codes) == sorted(expected)
+    assert all(household_events(table, codes[h]) == expected[h] for h in expected)
 
 
 @_PROPERTY_SETTINGS
