@@ -4,7 +4,8 @@ Consecutive events separated by less than the gap threshold form one
 episode; an episode's duration is last event minus first event. Episodes
 shorter than the minimum duration or with too few events (single-sensor
 blips) are discarded. The split runs on the whole timestamp column at
-once; `ActivityEpisode`s are built only for the kept episodes.
+once and returns the kept episodes as an `EpisodeTable` of columns,
+which builds an `ActivityEpisode` only where one is read.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from mealclust.events import EventTable, SensorEvent, datetimes
+from mealclust.events import EventTable, RecordTable, SensorEvent
 
 DEFAULT_GAP_THRESHOLD_MIN = 10.0
 DEFAULT_MIN_DURATION_MIN = 1.0
@@ -31,6 +32,25 @@ class ActivityEpisode:
     duration_min: float
     start_hour: float
     event_count: int
+
+
+class EpisodeTable(RecordTable):
+    """Activity episodes as columns, in a fixed order.
+
+    `household` holds int32 codes into `names`; `start` and `end` hold
+    int64 epoch microseconds, so any episode's datetimes are held exactly;
+    `duration_min` and `start_hour` hold float64 and `event_count` int64.
+    """
+
+    record_type = ActivityEpisode
+    _columns = {"household": np.int32, "start": np.int64, "end": np.int64, "duration_min": np.float64,
+                "start_hour": np.float64, "event_count": np.int64}
+    _unit = "us"
+
+    @classmethod
+    def from_episodes(cls, episodes: Iterable[ActivityEpisode]) -> EpisodeTable:
+        """A table of `episodes` in their order; a table is returned as is."""
+        return cls.from_records(episodes)
 
 
 def check_thresholds(gap_threshold_min: float, min_duration_min: float, min_events: int) -> None:
@@ -48,7 +68,7 @@ def segment_episodes(
     gap_threshold_min: float = DEFAULT_GAP_THRESHOLD_MIN,
     min_duration_min: float = DEFAULT_MIN_DURATION_MIN,
     min_events: int = DEFAULT_MIN_EVENTS,
-) -> list[ActivityEpisode]:
+) -> EpisodeTable:
     """Group a time-ordered event stream into activity episodes.
 
     Events whose inter-event gap is strictly below `gap_threshold_min`
@@ -59,7 +79,7 @@ def segment_episodes(
     check_thresholds(gap_threshold_min, min_duration_min, min_events)
     table = EventTable.from_events(events)
     if not len(table):
-        return []
+        return EpisodeTable.from_episodes([])
     seconds = table.seconds
     steps = np.diff(seconds)
     if (steps < 0).any():
@@ -76,15 +96,5 @@ def segment_episodes(
     time_of_day = seconds[firsts] % 86400
     hour, minute, second = time_of_day // 3600, time_of_day // 60 % 60, time_of_day % 60
     start_hour = hour + minute / 60.0 + second / 3600.0
-    return [
-        ActivityEpisode(*row)
-        for row in zip(
-            table.decoded(table.household[firsts]),
-            datetimes(seconds[firsts]),
-            datetimes(seconds[lasts]),
-            duration_min[keep].tolist(),
-            start_hour.tolist(),
-            event_count[keep].tolist(),
-        )
-    ]
-
+    return EpisodeTable(table.household[firsts], seconds[firsts] * 10**6, seconds[lasts] * 10**6,
+                        duration_min[keep], start_hour, event_count[keep], names=table.names)

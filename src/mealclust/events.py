@@ -10,7 +10,9 @@ rather than silently dropped.
 Events are held as columns in an `EventTable`: int64 seconds since
 1970-01-01T00:00:00 plus integer codes into one string vocabulary for
 household, sensor, kind and location. The table is a sequence of
-`SensorEvent`s, built one at a time as they are read.
+`SensorEvent`s, built one at a time as they are read. Its columns and
+indexing come from `RecordTable`, which `episodes.EpisodeTable` shares,
+and `records_to_csv` writes either table from its columns.
 
 The parser reads bytes, byte input with universal newlines. A canonical
 row (a canonical timestamp first, then printable ASCII fields that pass
@@ -111,59 +113,61 @@ def epoch_seconds(ts: datetime) -> int:
     return seconds
 
 
-def datetimes(seconds: np.ndarray) -> list[datetime]:
-    """The naive datetimes of an array of epoch seconds."""
-    return np.asarray(seconds, dtype=np.int64).astype("datetime64[s]").astype(object).tolist()
+class RecordTable(Sequence):
+    """Records of the frozen dataclass `record_type` held as columns, one
+    array per field in field order, named and typed by `_columns`: a
+    datetime field as int64 counts of `_unit` (a numpy time unit) since
+    EPOCH, a str field as int32 codes into `names`, any other field as its
+    values. Indexing and iteration build records; a slice is a table. A
+    table equals any sequence holding equal records in the same order."""
 
+    record_type: type
+    _columns: dict[str, type]  # column name -> dtype, in field order
+    _unit = "s"
 
-class EventTable(Sequence):
-    """Sensor events as columns, in a fixed order.
-
-    `seconds` holds int64 epoch seconds; `household`, `sensor`, `kind` and
-    `location` hold int32 codes into `names`; `value` holds int8 0 or 1.
-    Indexing and iteration build `SensorEvent`s; a slice is a table.
-    A table equals any sequence holding equal events in the same order.
-    """
-
-    def __init__(self, seconds, household, sensor, kind, location, value, names: Sequence[str]):
-        self.seconds = np.asarray(seconds, dtype=np.int64)
-        self.household = np.asarray(household, dtype=np.int32)
-        self.sensor = np.asarray(sensor, dtype=np.int32)
-        self.kind = np.asarray(kind, dtype=np.int32)
-        self.location = np.asarray(location, dtype=np.int32)
-        self.value = np.asarray(value, dtype=np.int8)
+    def __init__(self, *columns, names: Sequence[str]):
+        for (name, dtype), column in zip(self._columns.items(), columns, strict=True):
+            setattr(self, name, np.asarray(column, dtype=dtype))
         self.names = list(names)
 
     @classmethod
-    def from_events(cls, events: Iterable[SensorEvent]) -> EventTable:
-        """A table of `events` in their order; a table is returned as is."""
-        if isinstance(events, cls):
-            return events
-        events = list(events)
+    def from_records(cls, records: Iterable):
+        """A table of `records` in their order; a table is returned as is."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
         vocab: dict[str, int] = {}
-        return cls(
-            [epoch_seconds(e.timestamp) for e in events],
-            _codes(vocab, [e.household_id for e in events]),
-            _codes(vocab, [e.sensor_id for e in events]),
-            _codes(vocab, [e.sensor_kind for e in events]),
-            _codes(vocab, [e.location for e in events]),
-            [e.value for e in events],
-            list(vocab),
-        )
+        columns = []
+        for name, kind in field_types(cls.record_type).items():
+            column = [getattr(record, name) for record in records]
+            if kind is datetime:
+                column = _ticks(column, cls._unit)
+            elif kind is str:
+                column = _codes(vocab, column)
+            columns.append(column)
+        return cls(*columns, names=list(vocab))
 
-    def take(self, index) -> EventTable:
+    def take(self, index):
         """The rows at `index` (a slice, a boolean mask or positions)."""
-        return EventTable(
-            self.seconds[index], self.household[index], self.sensor[index], self.kind[index],
-            self.location[index], self.value[index], self.names,
-        )
+        return type(self)(*(getattr(self, name)[index] for name in self._columns), names=self.names)
 
     def decoded(self, codes: np.ndarray) -> list[str]:
         """The strings of one code column."""
         return np.asarray(self.names, dtype=object)[codes].tolist()
 
+    def fields(self, stamps) -> list[list]:
+        """Each column as a list of values, in field order: a datetime
+        column is `stamps` of it as numpy datetimes, a str column its
+        strings, any other column its Python values."""
+        kinds = field_types(self.record_type).values()
+        return [
+            stamps(column.view(f"datetime64[{self._unit}]")) if kind is datetime
+            else self.decoded(column) if kind is str else column.tolist()
+            for column, kind in zip((getattr(self, name) for name in self._columns), kinds)
+        ]
+
     def __len__(self) -> int:
-        return len(self.seconds)
+        return len(getattr(self, next(iter(self._columns))))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -171,10 +175,8 @@ class EventTable(Sequence):
         i = range(len(self))[index]
         return next(iter(self.take(slice(i, i + 1))))
 
-    def __iter__(self) -> Iterator[SensorEvent]:
-        columns = (self.household, self.sensor, self.kind, self.location)
-        for row in zip(datetimes(self.seconds), *map(self.decoded, columns), self.value.tolist()):
-            yield SensorEvent(*row)
+    def __iter__(self) -> Iterator:
+        return map(self.record_type, *self.fields(lambda stamps: stamps.astype(object).tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -182,7 +184,34 @@ class EventTable(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"EventTable({len(self)} events)"
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+def _ticks(stamps: list[datetime], unit: str) -> np.ndarray:
+    """Whole `unit`s, seconds or microseconds, from EPOCH to each naive
+    timestamp; one between two seconds is a ValueError."""
+    exact = np.array(stamps, dtype="datetime64[us]")
+    ticks = exact.astype(f"datetime64[{unit}]")
+    if len(off := np.flatnonzero(ticks != exact)):
+        raise ValueError(f"timestamp {stamps[off[0]]} is not a whole second")
+    return ticks.view(np.int64)
+
+
+class EventTable(RecordTable):
+    """Sensor events as columns, in a fixed order.
+
+    `seconds` holds int64 epoch seconds; `household`, `sensor`, `kind` and
+    `location` hold int32 codes into `names`; `value` holds int8 0 or 1.
+    """
+
+    record_type = SensorEvent
+    _columns = {"seconds": np.int64, "household": np.int32, "sensor": np.int32, "kind": np.int32,
+                "location": np.int32, "value": np.int8}
+
+    @classmethod
+    def from_events(cls, events: Iterable[SensorEvent]) -> EventTable:
+        """A table of `events` in their order; a table is returned as is."""
+        return cls.from_records(events)
 
 
 def _codes(vocab: dict[str, int], strings: list[str]) -> np.ndarray:
@@ -632,7 +661,7 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str,
         for codes in columns[1:5]:
             codes[start:start + rows] = remap[codes[start:start + rows]]
         start += rows
-    events = EventTable(*columns, names)
+    events = EventTable(*columns, names=names)
     # a stable sort of a column already in order leaves every row where it is
     if (events.seconds[1:] >= events.seconds[:-1]).all():
         return events, rejections
@@ -678,20 +707,26 @@ def field_types(record_type: type) -> dict[str, type]:
 
 
 def records_to_csv(record_type: type, records: Iterable) -> str:
-    """CSV text of `records`, instances of the dataclass `record_type`: a
-    header of its field names in order, then one line per record, each
-    ending in a bare newline. Every CSV the package writes is written here,
-    so a record type is its own file format. Each column's format follows
-    from its field's declared type: a datetime in TIMESTAMP_FORMAT, any
-    other value as csv.writer writes it (a float through repr, None empty)."""
-    records = list(records)
+    """CSV text of `records`, instances of the dataclass `record_type` or
+    a `RecordTable` of them: a header of its field names in order, then one
+    line per record, each ending in a bare newline. Every CSV the package
+    writes is written here, so a record type is its own file format. Each
+    column's format follows from its field's declared type: a datetime in
+    TIMESTAMP_FORMAT, any other value as csv.writer writes it (a float
+    through repr, None empty). A table is written from its columns, each
+    datetime column formatted by one np.datetime_as_string, which writes
+    what strftime does for the years 1000 to 9999."""
     kinds = field_types(record_type)
-    columns = []
-    for name, kind in kinds.items():
-        column = map(attrgetter(name), records)
-        if kind is datetime:
-            column = map(methodcaller("strftime", TIMESTAMP_FORMAT), column)
-        columns.append(column)
+    if isinstance(records, RecordTable) and records.record_type is record_type:
+        columns = records.fields(lambda stamps: np.datetime_as_string(stamps, unit="s").tolist())
+    else:
+        records = list(records)
+        columns = []
+        for name, kind in kinds.items():
+            column = map(attrgetter(name), records)
+            if kind is datetime:
+                column = map(methodcaller("strftime", TIMESTAMP_FORMAT), column)
+            columns.append(column)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(kinds)

@@ -2,7 +2,8 @@
 
 Default feature space is 2-D (duration in minutes, start hour of day),
 unscaled; z-score standardization is opt-in because duration and hour
-carry incommensurate units.
+carry incommensurate units. Each feature is a column of the episodes'
+`EpisodeTable`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mealclust.episodes import ActivityEpisode
+from mealclust.episodes import ActivityEpisode, EpisodeTable
 
 MODE_DURATION_ONLY = "duration"
 MODE_DURATION_AND_START_HOUR = "duration+hour"
@@ -63,18 +64,18 @@ def build_features(
     episodes: Sequence[ActivityEpisode],
     mode: str = MODE_DURATION_AND_START_HOUR,
 ) -> FeatureMatrix:
-    """Build the clustering feature matrix; row i maps to episode i."""
-    if not episodes:
+    """Build the clustering feature matrix from the columns of the episodes'
+    `EpisodeTable`; row i maps to episode i."""
+    table = EpisodeTable.from_episodes(episodes)
+    if not len(table):
         raise ValueError("episode list must be non-empty")
     if mode == MODE_DURATION_ONLY:
-        data = np.array([[ep.duration_min] for ep in episodes])
         names = ["duration_min"]
     elif mode == MODE_DURATION_AND_START_HOUR:
-        data = np.array([[ep.duration_min, ep.start_hour] for ep in episodes])
         names = ["duration_min", "start_hour"]
     else:
         raise ValueError(f"unknown feature mode: {mode!r}")
-    return FeatureMatrix(data=data, feature_names=names)
+    return FeatureMatrix(data=np.column_stack([getattr(table, name) for name in names]), feature_names=names)
 
 
 def scale_features(m: FeatureMatrix, method: str = SCALING_NONE) -> FeatureMatrix:

@@ -8,7 +8,9 @@ in non-meal locations. Generation uses numpy's seeded PCG64 generator,
 so identical profiles produce byte-identical traces.
 
 The planted episode list is returned alongside the events so tests can
-compare recovered clusters against ground truth.
+compare recovered clusters against ground truth. The events' table is
+built once, each column in time order at its final dtype, so generating
+a trace holds little more than the table itself.
 """
 
 from __future__ import annotations
@@ -147,20 +149,33 @@ def generate_with_truth(profile: HouseholdProfile) -> tuple[EventTable, list[Pla
     n_noise = int(rng.poisson(profile.noise_events_per_day * profile.days))
     highs = np.tile([profile.days * 86400, len(NOISE_LOCATIONS)], n_noise)
     offsets_s, rooms = rng.integers(0, highs).reshape(-1, 2).T
+    del highs
 
     # Codes into `names`: household 0, kind 1 ("motion"), and for room r
     # (0 the kitchen, then NOISE_LOCATIONS) location 2r + 2 and sensor
     # 2r + 3. Meals come before noise, so the stable sort keeps meals
-    # first among events at the same second.
+    # first among events at the same second. The per-meal arrays and the
+    # noise draw are released before the sort, and each column is built
+    # once, in time order, at its table dtype.
     names = [profile.household_id, "motion"]
     for room in ("kitchen", *NOISE_LOCATIONS):
         names += [room, f"{room}_pir"]
     n_meal = sum(map(len, meal_seconds))
-    room = np.concatenate((np.zeros(n_meal, dtype=np.int64), rooms + 1))
-    seconds = np.concatenate((*meal_seconds, epoch_seconds(BASE_DATE) + offsets_s))
-    n = len(seconds)
-    events = EventTable(seconds, np.zeros(n), 2 * room + 3, np.ones(n), 2 * room + 2, np.ones(n), names)
-    return events.take(np.argsort(seconds, kind="stable")), planted
+    n = n_meal + n_noise
+    seconds = np.empty(n, dtype=np.int64)
+    if meal_seconds:
+        np.concatenate(meal_seconds, out=seconds[:n_meal])
+    del meal_seconds
+    seconds[n_meal:] = epoch_seconds(BASE_DATE) + offsets_s
+    location = np.full(n, 2, dtype=np.int32)
+    location[n_meal:] = 2 * (rooms + 1) + 2
+    del offsets_s, rooms
+    order = np.argsort(seconds, kind="stable")
+    seconds.sort()  # the values of seconds[order], with no copy
+    location = location[order]
+    del order
+    household, kind, value = np.zeros(n, dtype=np.int32), np.ones(n, dtype=np.int32), np.ones(n, dtype=np.int8)
+    return EventTable(seconds, household, location + 1, kind, location, value, names=names), planted
 
 
 def generate_trace(profile: HouseholdProfile) -> EventTable:

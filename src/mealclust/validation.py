@@ -12,6 +12,10 @@ use (`parallel.cpu_budget`); this process fits one share and forked
 children the others, each share in one lockstep `gmm_fits` call. Every
 fit equals a lone fit bit for bit, so the report is the same bytes
 whatever the number of shares.
+
+Cluster ids are found by sorting (`np.unique` with counts) or counting
+(`np.bincount`): a bare `np.unique` takes a hash path that imports
+`numpy.ma`, which would add about 1.7 MiB to every process of a run.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def davies_bouldin(m: FeatureMatrix | np.ndarray, labels: np.ndarray) -> float:
     keep = labels != NOISE
     data = data[keep]
     labels = labels[keep]
-    ids = np.unique(labels)
+    ids, _ = np.unique(labels, return_counts=True)  # sorts: see the module docstring
     k = len(ids)
     if k < 2:
         raise UndefinedDbiError(f"DBI needs at least 2 clusters, got {k}")
@@ -172,7 +176,7 @@ def _sweep(
         except UndefinedDbiError:
             dbi = None
         noise = labels == NOISE
-        n_clusters = len(np.unique(labels[~noise]))
+        n_clusters = int(np.count_nonzero(np.bincount(labels[~noise])))
         entries.append(SweepEntry(float(param), dbi, n_clusters, n_noise=int(noise.sum())))
         models.append(model)
     best = _select_best(entries)

@@ -920,6 +920,50 @@ def test_a_three_household_run_at_2_cpus_loads_no_pool_machinery(tmp_path, profi
         assert sorted(p.name for p in (tmp_path / "out" / household_id).iterdir()) == FULL_ARTIFACTS
 
 
+def numpy_ma_in_a_run(cpus, path, out):
+    """Whether a fresh interpreter holds numpy.ma after one run of `path`
+    at `cpus` CPUs, and for each household, whether its process held it
+    once the household was processed and whether that process was the
+    run's own. Forked household children inherit the recording patch."""
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+        "from mealclust import pipeline\n"
+        "from mealclust.cli import main\n"
+        "process_household, run_pid = pipeline._process_household, os.getpid()\n"
+        "def recording(*args):\n"
+        "    try:\n"
+        "        return process_household(*args)\n"
+        "    finally:\n"
+        "        with open(sys.argv[4], 'a') as fh:\n"
+        "            print(os.getpid() == run_pid, 'numpy.ma' in sys.modules, file=fh)\n"
+        "pipeline._process_household = recording\n"
+        "assert main(['run', '--input', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    record = out.parent / "households.txt"
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code, str(cpus), str(path), str(out), str(record)],
+                            env=env, capture_output=True, text=True, check=True)
+    households = [tuple(word == "True" for word in line.split()) for line in record.read_text().splitlines()]
+    return result.stdout.splitlines()[-1] == "True", households
+
+
+@pytest.mark.parametrize("cpus, household_ids", [
+    (1, ("house-1",)),
+    pytest.param(2, ("house-1",), marks=needs_fork),
+    pytest.param(2, HOUSEHOLDS, marks=needs_fork),
+])
+def test_a_run_and_its_household_children_never_import_numpy_ma(tmp_path, profile_path, cpus, household_ids):
+    # np.unique of bare labels takes a hash path that imports numpy.ma,
+    # about 1.7 MiB of resident memory in every process that loads it
+    merged = copies_of_house_1(tmp_path, profile_path, *household_ids)
+    loaded, households = numpy_ma_in_a_run(cpus, merged, tmp_path / "out")
+    assert not loaded
+    in_run = len(household_ids) == 1
+    assert households == [(in_run, False)] * len(household_ids)
+
+
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 def test_a_one_household_run_holds_one_copy_of_its_events(tmp_path, profile_path, monkeypatch, cpus):
     # the household's events are the parsed table itself, not a copy of it

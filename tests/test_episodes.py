@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mealclust.episodes import (
     ActivityEpisode,
+    EpisodeTable,
     check_thresholds,
     segment_episodes,
 )
@@ -17,6 +18,7 @@ from mealclust.events import (
     records_from_csv,
     records_to_csv,
 )
+from mealclust.features import MODE_DURATION_AND_START_HOUR, MODE_DURATION_ONLY, build_features
 from mealclust.synth import default_profile, generate_trace
 
 T0 = datetime(2024, 3, 1, 12, 0, 0)
@@ -77,10 +79,16 @@ def _events_at(offsets_s):
 def assert_segments_like_reference(events, **thresholds):
     episodes = segment_episodes(events, **thresholds)
     expected = reference_segment_episodes(list(events), **thresholds)
-    assert episodes == expected
+    assert isinstance(episodes, EpisodeTable)
+    assert episodes == expected and EpisodeTable.from_episodes(expected) == expected
     # exact floats, as Python floats (the CSV writes them through repr)
     assert [(type(e.duration_min), type(e.start_hour)) for e in episodes] == [(float, float)] * len(expected)
+    # the table's columns give the bytes the episode objects give
     assert records_to_csv(ActivityEpisode, episodes) == records_to_csv(ActivityEpisode, expected)
+    if expected:
+        for mode in (MODE_DURATION_ONLY, MODE_DURATION_AND_START_HOUR):
+            table, objects = build_features(episodes, mode), build_features(expected, mode)
+            assert table.data.tobytes() == objects.data.tobytes() and table.data.shape == objects.data.shape
 
 
 def test_empty_events():
@@ -196,6 +204,16 @@ def test_table_and_list_inputs_agree():
     assert [e.household_id for e in segment_episodes(table, min_duration_min=0, min_events=1)] == ["a", "b"]
     assert segment_episodes(household_events(table, household_codes(table)["a"]), min_duration_min=0) == reference_segment_episodes(
         [e for e in events if e.household_id == "a"], min_duration_min=0)
+
+
+def test_a_table_holds_sub_second_episode_times_exactly():
+    start = T0 + timedelta(microseconds=250_001)
+    episodes = [ActivityEpisode("h1", start, start + timedelta(minutes=7.3), 7.3, 12.0000694, 4),
+                ActivityEpisode("h2", T0, T0 + timedelta(days=400), 576000.0, 12.0, 2)]
+    table = EpisodeTable.from_episodes(episodes)
+    assert table == episodes and list(table) == episodes and table[1:] == episodes[1:]
+    assert EpisodeTable.from_episodes(table) is table
+    assert records_to_csv(ActivityEpisode, table) == records_to_csv(ActivityEpisode, episodes)
 
 
 def test_sub_second_timestamps_rejected():

@@ -609,6 +609,7 @@ def test_csv_round_trip_property(events):
 def test_table_equals_event_list_property(events, locations):
     table = EventTable.from_events(events)
     assert table == events and list(table) == events and len(table) == len(events)
+    assert records_to_csv(SensorEvent, table) == records_to_csv(SensorEvent, events)
     assert filter_meal_locations(table, locations) == [e for e in events if e.location in locations]
     codes = household_codes(table)
     expected: dict = {}

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,20 @@ def test_default_profile_expected_count():
     _, planted = generate_with_truth(profile)
     expected = 365 * (0.95 + 1.0 + 0.6 + 1.0)
     assert abs(len(planted) - expected) / expected < 0.10
+
+
+def test_the_trace_is_built_about_once():
+    # each column is built once at its table dtype: float64 placeholder
+    # columns or a sorted copy of the whole table would pass twice its bytes
+    generate_trace(default_profile(days=2))
+    tracemalloc.start()
+    try:
+        events = generate_trace(default_profile())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = (events.seconds, events.household, events.sensor, events.kind, events.location, events.value)
+    assert peak <= 2 * sum(column.nbytes for column in columns)
 
 
 def test_trace_is_time_sorted_and_binary():
