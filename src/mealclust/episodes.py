@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class EpisodeTable(RecordTable):
                 "start_hour": np.float64, "event_count": np.int64}
     _unit = "us"
 
-    @classmethod
-    def from_episodes(cls, episodes: Iterable[ActivityEpisode]) -> EpisodeTable:
-        """A table of `episodes` in their order; a table is returned as is."""
-        return cls.from_records(episodes)
-
 
 def check_thresholds(gap_threshold_min: float, min_duration_min: float, min_events: int) -> None:
     """Raise ValueError unless the segmentation thresholds are usable."""
@@ -77,9 +72,9 @@ def segment_episodes(
     A list of `SensorEvent`s is read as an `EventTable`.
     """
     check_thresholds(gap_threshold_min, min_duration_min, min_events)
-    table = EventTable.from_events(events)
+    table = EventTable.from_records(events)
     if not len(table):
-        return EpisodeTable.from_episodes([])
+        return EpisodeTable.from_records([])
     seconds = table.seconds
     steps = np.diff(seconds)
     if (steps < 0).any():

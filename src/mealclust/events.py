@@ -14,16 +14,17 @@ household, sensor, kind and location. The table is a sequence of
 indexing come from `RecordTable`, which `episodes.EpisodeTable` shares,
 and `records_to_csv` writes either table from its columns.
 
-The parser reads bytes, byte input with universal newlines. A canonical
-row (a canonical timestamp first, then printable ASCII fields that pass
-every check) is parsed from its bytes; every other row goes through
-csv.reader and the per-row checks, so each rejection keeps its line.
+The parser reads bytes, byte input with universal newlines, and the
+header from line 1 alone. A canonical row (a canonical timestamp first,
+then printable ASCII fields that pass every check) is parsed from its
+bytes; every other row goes through csv.reader and the per-row checks,
+so each rejection keeps its line.
 
 One range reader (`_parse_lines`) parses a run of lines with its own
-vocabulary. A regular file with no quote and no carriage return, whose
-lines csv.reader would split at every "\n", is cut into one range per
-CPU, each parsed in its own process (`parallel.fork_map`); all other
-input is one range. The ranges are joined in order, one column at a
+vocabulary. A regular file whose rows hold no quote and no carriage
+return, so that csv.reader would split them at every "\n", is cut into
+one range per CPU, each parsed in its own process (`parallel.fork_map`);
+all other input is one range. The ranges are joined in order, one column at a
 time, their codes remapped into one sorted vocabulary, so the result does
 not depend on the cuts. Events already in time order, as a log written
 while they happen holds them, are returned as joined; any others are
@@ -208,11 +209,6 @@ class EventTable(RecordTable):
     _columns = {"seconds": np.int64, "household": np.int32, "sensor": np.int32, "kind": np.int32,
                 "location": np.int32, "value": np.int8}
 
-    @classmethod
-    def from_events(cls, events: Iterable[SensorEvent]) -> EventTable:
-        """A table of `events` in their order; a table is returned as is."""
-        return cls.from_records(events)
-
 
 def _codes(vocab: dict[str, int], strings: list[str]) -> np.ndarray:
     """Codes of `strings` in `vocab`, which gains each new string."""
@@ -261,12 +257,17 @@ def _read(reader, n: int, lines: Sequence[int]) -> list[list[str]]:
         raise SchemaError(f"line {lines[reader.line_num - 1]}: malformed CSV: {exc}") from None
 
 
-def _header(reader, lines: Sequence[int]) -> dict[str, int]:
-    """The column index of each required column, read from the header."""
-    header = _read(reader, 1, lines)
-    if not header:
+def _header(line: str) -> dict[str, int]:
+    """The column index of each required column, read from the header line
+    `line` alone (decoded, with no byte-order mark); a record that runs on
+    past it is a SchemaError."""
+    if not line:
         raise SchemaError("empty input: missing header row")
-    header = [h.strip() for h in header[0]]
+    # a record that `line` does not end reads on into the empty line after it
+    reader = csv.reader([line, ""])
+    header = [h.strip() for h in _read(reader, 1, (1, 1))[0]]
+    if reader.line_num > 1:
+        raise SchemaError("line 1: the header runs on past its line: a quoted name holds a line break")
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise SchemaError(f"missing required column: {col}")
@@ -509,26 +510,27 @@ def _file(stream) -> tuple[int, int] | None:
     return raw.fileno(), stream.tell()
 
 
-def _line_ranges(fd: int, start: int, header: int) -> list[tuple[Iterator[bytes], int]] | None:
-    """The rows of the file open on `fd`, whose input starts at byte `start`
-    with a first line of `header` bytes, as one range per CPU: the blocks
-    of each (read with os.pread when they are first iterated) and the input
-    line it starts on. Each range but the last ends after a "\\n", near
-    an equal share of the rows' bytes. None where that gives fewer than two
-    ranges, or where the input holds a quote or a carriage return, whose
-    framing only a serial read gets right.
+def _line_ranges(fd: int, body: int) -> list[tuple[Iterator[bytes], int]] | None:
+    """The rows of the file open on `fd`, from byte `body` (where line 2
+    starts after a header line ending in "\\n") on, as one range per CPU:
+    the blocks of each (read with os.pread when they are first iterated)
+    and the input line it starts on. Each range but the last ends after a
+    "\\n", near an equal share of the rows' bytes. None where that gives
+    fewer than two ranges, or where the rows or the header's line end hold
+    a quote or a carriage return, whose framing only a serial read gets
+    right.
 
     There are no more ranges than whole blocks of CHUNK_BYTES after the
-    first line, so input shorter than two blocks is read serially. The
-    input is read here once, a block at a time, to check it and to count
-    the lines before each cut."""
+    header, so input shorter than two blocks is read serially. The rows are
+    read here once, a block at a time, to check them and to count the lines
+    before each cut."""
     size = os.fstat(fd).st_size
-    body = start + header
     n = min(parallel.cpu_budget(), (size - body) // CHUNK_BYTES)
     if n < 2:
         return None
     targets = [body + (size - body) * i // n for i in range(1, n)]
-    cuts, lines, newlines, at = [body], [2], 0, start
+    # from the header's last byte on: after a "\r\n", line 2 starts past `body`
+    cuts, lines, newlines, at = [body], [2], 0, body - 1
     while block := os.pread(fd, CHUNK_BYTES, at):
         if _framed(block):
             return None
@@ -544,8 +546,8 @@ def _line_ranges(fd: int, start: int, header: int) -> list[tuple[Iterator[bytes]
     return [(_blocks(_Pread(fd, a, b)), line) for a, b, line in zip(cuts, cuts[1:] + [at], lines) if a < b]
 
 
-def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int, locations: AbstractSet[str] | None,
-                 reader=None) -> tuple[list[list[np.ndarray]], list[Rejection], list[str]]:
+def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int,
+                 locations: AbstractSet[str] | None) -> tuple[list[list[np.ndarray]], list[Rejection], list[str]]:
     """The event columns at `locations` of each chunk of `blocks`, runs of
     whole lines from input line `line` on, with codes into the vocabulary
     returned last; and the rejections, in line order.
@@ -553,25 +555,21 @@ def _parse_lines(idx: dict[str, int], blocks: Iterator[bytes], line: int, locati
     Under a header whose first column is the timestamp, each block is parsed
     from its bytes (`_parse_block`) up to the first that holds a quote or a
     carriage return; csv.reader reads the rows from there on, or all of
-    them under any other header. `reader` is the csv.reader that read a
-    header holding a quote or a carriage return, from input line 1 on; it
-    then reads every row."""
+    them under any other header."""
     vocab: dict[str, int] = {}
     checked: dict[bytes, tuple | None] = {}
     chunks: list[list[np.ndarray]] = []
     rejections: list[Rejection] = []
-    reader_lines = range(1, sys.maxsize)
-    if reader is None:
-        if idx["timestamp"] == 0:
-            for block in blocks:
-                if _framed(block):
-                    blocks = chain([block], blocks)
-                    break
-                columns, rejected, n = _parse_block(block, line, idx, vocab, checked, locations)
-                chunks.append(columns)
-                rejections.extend(rejected)
-                line += n
-        reader, reader_lines = csv.reader(chain.from_iterable(_texts(blocks, line))), range(line, sys.maxsize)
+    if idx["timestamp"] == 0:
+        for block in blocks:
+            if _framed(block):
+                blocks = chain([block], blocks)
+                break
+            columns, rejected, n = _parse_block(block, line, idx, vocab, checked, locations)
+            chunks.append(columns)
+            rejections.extend(rejected)
+            line += n
+    reader, reader_lines = csv.reader(chain.from_iterable(_texts(blocks, line))), range(line, sys.maxsize)
     while rows := _read(reader, max(1, CHUNK_BYTES // _ROW_BYTES), reader_lines):
         columns, rejected, _ = _parse_chunk(rows, np.arange(line, line + len(rows)), idx, vocab, locations)
         chunks.append(columns)
@@ -594,11 +592,12 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str,
     parses as its LF copy; text ends its lines at "\\n" only. A caller's
     stream is read to its end, never closed.
 
-    A binary file that holds no quote and no carriage return is parsed in
-    one range of lines per CPU (`_line_ranges`): the first in this process
-    and each other in a forked child (`parallel.fork_map`), which reads its
-    own bytes. Any other input, and a file under two blocks of CHUNK_BYTES
-    or with one CPU to use, is one range parsed here. Either way the result
+    The header is read from line 1 alone. A binary file whose rows hold
+    no quote and no carriage return is parsed in one range of lines per
+    CPU (`_line_ranges`): the first in this process and each other in a
+    forked child (`parallel.fork_map`), which reads its own bytes. Any
+    other input, and a file under two blocks of CHUNK_BYTES or with one
+    CPU to use, is one range parsed here. Either way the result
     is the same: the vocabulary `names` is sorted, whatever the ranges.
     The ranges are joined one column at a time, each column's chunks
     released once it is joined, so the parse holds the table about once
@@ -611,10 +610,10 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str,
     a location not in `locations`, in neither.
 
     Raises ValueError for an empty `locations`, and SchemaError if the
-    header is missing a required column or
-    carries an unknown or a repeated one, if the file is not well-formed
-    CSV, or at its first line that is not valid UTF-8, naming that line
-    and the offset of the bad byte in it.
+    header is missing a required column, carries an unknown or a repeated
+    one, or runs on past line 1 (a quoted name holding a line break), if
+    the file is not well-formed CSV, or at its first line that is not
+    valid UTF-8, naming that line and the offset of the bad byte in it.
     """
     if locations is not None:
         check_locations(locations)
@@ -622,18 +621,13 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str,
     blocks = _blocks(stream)
     head = next(blocks, b"")
     first = head[: head.find(b"\n") + 1] or head
-    blocks = chain([head[len(first):]] if len(head) > len(first) else [], blocks)
     # a UTF-8 byte-order mark, which csv and str.strip keep, is no part of the header
-    header = io.StringIO(_decode(first, 1).removeprefix("\ufeff"))
-    reader = csv.reader(chain.from_iterable(chain([header], _texts(blocks, 2))))
-    idx = _header(reader, range(1, sys.maxsize))
-    if _framed(first):
-        ranges = [(blocks, 2, reader)]
-    elif file is not None and (split := _line_ranges(*file, len(first))):
+    idx = _header(_decode(first, 1).removeprefix("\ufeff"))
+    if file is not None and (split := _line_ranges(file[0], file[1] + len(first))):
         ranges = split
         stream.seek(0, io.SEEK_END)  # as a serial read leaves it; each range reads with os.pread
     else:
-        ranges = [(blocks, 2)]
+        ranges = [(chain([head[len(first):]] if len(head) > len(first) else [], blocks), 2)]
     # The row lists of a batch hold only strings, so they form no cycles;
     # left on, the cyclic collector would scan them again and again.
     collecting = gc.isenabled()
@@ -641,7 +635,7 @@ def parse_events(stream: BinaryIO | TextIO | bytes | str,
     try:
         # a range that fails in its child is parsed again here, so the
         # error of the earliest failing range is the one raised
-        parts = parallel.fork_map(lambda r: _parse_lines(idx, r[0], r[1], locations, *r[2:]), ranges)
+        parts = parallel.fork_map(lambda r: _parse_lines(idx, *r, locations), ranges)
     finally:
         if collecting:
             gc.enable()
@@ -680,7 +674,7 @@ def filter_meal_locations(
 ) -> EventTable:
     """Keep only events whose location is in `locations`, order preserved."""
     check_locations(locations)
-    table = EventTable.from_events(events)
+    table = EventTable.from_records(events)
     wanted = [code for code, name in enumerate(table.names) if name in locations]
     return table.take(np.isin(table.location, wanted))
 

@@ -21,6 +21,16 @@ MODE_DURATION_AND_START_HOUR = "duration+hour"
 SCALING_NONE = "none"
 SCALING_ZSCORE = "zscore"
 
+_MODE_COLUMNS = {MODE_DURATION_ONLY: ["duration_min"], MODE_DURATION_AND_START_HOUR: ["duration_min", "start_hour"]}
+
+
+def check_options(mode: str = MODE_DURATION_AND_START_HOUR, scaling: str = SCALING_NONE) -> None:
+    """Raise ValueError unless `mode` is a feature mode and `scaling` a scaling method."""
+    if mode not in _MODE_COLUMNS:
+        raise ValueError(f"unknown feature mode: {mode!r}")
+    if scaling not in (SCALING_NONE, SCALING_ZSCORE):
+        raise ValueError(f"unknown scaling method: {scaling!r}")
+
 
 @dataclass
 class FeatureMatrix:
@@ -66,15 +76,11 @@ def build_features(
 ) -> FeatureMatrix:
     """Build the clustering feature matrix from the columns of the episodes'
     `EpisodeTable`; row i maps to episode i."""
-    table = EpisodeTable.from_episodes(episodes)
+    table = EpisodeTable.from_records(episodes)
     if not len(table):
         raise ValueError("episode list must be non-empty")
-    if mode == MODE_DURATION_ONLY:
-        names = ["duration_min"]
-    elif mode == MODE_DURATION_AND_START_HOUR:
-        names = ["duration_min", "start_hour"]
-    else:
-        raise ValueError(f"unknown feature mode: {mode!r}")
+    check_options(mode=mode)
+    names = list(_MODE_COLUMNS[mode])
     return FeatureMatrix(data=np.column_stack([getattr(table, name) for name in names]), feature_names=names)
 
 
@@ -86,10 +92,9 @@ def scale_features(m: FeatureMatrix, method: str = SCALING_NONE) -> FeatureMatri
     map to all-zeros with a recorded stddev of 1 so the inverse mapping
     stays exact.
     """
+    check_options(scaling=method)
     if method == SCALING_NONE:
         return replace(m, data=m.data.copy(), feature_names=list(m.feature_names))
-    if method != SCALING_ZSCORE:
-        raise ValueError(f"unknown scaling method: {method!r}")
     if m.scaling != SCALING_NONE:
         raise ValueError("matrix is already scaled")
     if m.n < 2:

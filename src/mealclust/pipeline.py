@@ -79,6 +79,7 @@ class RunConfig:
             raise ValueError("exactly one of input_path or synth_profile_path is required")
         events_mod.check_locations(self.locations)
         episodes_mod.check_thresholds(self.gap_threshold_min, self.min_duration_min, self.min_events)
+        features_mod.check_options(self.feature_mode, self.scaling)
         check_param_range(self.k_range, "k_range")
         check_param_range(self.g_range, "g_range")
         dbscan_mod.check_params(self.eps_values, self.min_pts)

@@ -590,6 +590,23 @@ def test_household_id_cannot_leave_the_output_directory(tmp_path, profile_path, 
     assert "../escaped: household id '../escaped' is not a plain directory name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, message", [
+    ({"feature_mode": "hour"}, "unknown feature mode: 'hour'"),
+    ({"scaling": "zcore"}, "unknown scaling method: 'zcore'"),
+])
+def test_an_unknown_feature_mode_or_scaling_is_refused_before_any_file_is_written(tmp_path, monkeypatch, option,
+                                                                                   message):
+    path = tmp_path / "events.csv"
+    path.write_text("timestamp,household_id,sensor_id,sensor_kind,location,value\n"
+                    + "".join(f"2024-03-01T08:0{i}:00,house-1,s1,motion,kitchen,1\n" for i in range(5)))
+    loads, load = [], pipeline._load_events
+    monkeypatch.setattr(pipeline, "_load_events", lambda config: loads.append(config) or load(config))
+    config = pipeline.RunConfig(input_path=path, out_dir=tmp_path / "out", **option)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pipeline.run_pipeline(config)
+    assert not loads and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("household_id", ["", ".", "..", "a/b", "/abs"])
 def test_household_id_must_be_a_plain_directory_name(tmp_path, household_id):
     with pytest.raises(ValueError, match="is not a plain directory name"):

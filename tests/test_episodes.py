@@ -80,7 +80,7 @@ def assert_segments_like_reference(events, **thresholds):
     episodes = segment_episodes(events, **thresholds)
     expected = reference_segment_episodes(list(events), **thresholds)
     assert isinstance(episodes, EpisodeTable)
-    assert episodes == expected and EpisodeTable.from_episodes(expected) == expected
+    assert episodes == expected and EpisodeTable.from_records(expected) == expected
     # exact floats, as Python floats (the CSV writes them through repr)
     assert [(type(e.duration_min), type(e.start_hour)) for e in episodes] == [(float, float)] * len(expected)
     # the table's columns give the bytes the episode objects give
@@ -199,7 +199,7 @@ def test_non_integer_gaps_and_gap_at_threshold_match_reference():
 
 def test_table_and_list_inputs_agree():
     events = [ev(m, hh) for m, hh in ((0, "a"), (2, "a"), (30, "b"), (31, "a"), (33, "a"))]
-    table = EventTable.from_events(events)
+    table = EventTable.from_records(events)
     assert segment_episodes(table, min_events=1) == segment_episodes(events, min_events=1)
     assert [e.household_id for e in segment_episodes(table, min_duration_min=0, min_events=1)] == ["a", "b"]
     assert segment_episodes(household_events(table, household_codes(table)["a"]), min_duration_min=0) == reference_segment_episodes(
@@ -210,9 +210,9 @@ def test_a_table_holds_sub_second_episode_times_exactly():
     start = T0 + timedelta(microseconds=250_001)
     episodes = [ActivityEpisode("h1", start, start + timedelta(minutes=7.3), 7.3, 12.0000694, 4),
                 ActivityEpisode("h2", T0, T0 + timedelta(days=400), 576000.0, 12.0, 2)]
-    table = EpisodeTable.from_episodes(episodes)
+    table = EpisodeTable.from_records(episodes)
     assert table == episodes and list(table) == episodes and table[1:] == episodes[1:]
-    assert EpisodeTable.from_episodes(table) is table
+    assert EpisodeTable.from_records(table) is table
     assert records_to_csv(ActivityEpisode, table) == records_to_csv(ActivityEpisode, episodes)
 
 

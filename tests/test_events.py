@@ -36,6 +36,7 @@ from mealclust.synth import default_profile, generate_trace
 from test_cli import needs_fork, no_child_is_left, set_cpus
 
 HEADER = "timestamp,household_id,sensor_id,sensor_kind,location,value\n"
+QUOTED_HEADER = ",".join(f'"{c}"' for c in REQUIRED_COLUMNS) + "\n"
 
 
 def reference_parse_events(stream):
@@ -137,7 +138,21 @@ def test_duplicate_header_column(parse):
         parse("location," + HEADER.replace("location", " location "))
 
 
-def test_byte_order_mark_before_the_header_is_dropped(tmp_path):
+def test_a_header_record_that_runs_past_line_1_is_refused():
+    # the row-at-a-time reference reads the quoted name on into line 2
+    text = '"timestamp\n",household_id,sensor_id,sensor_kind,location,value\n' + row("2024-03-01T08:00:00")
+    assert len(reference_parse_events(text)[0]) == 1
+    for source in (text, text.encode(), io.BytesIO(text.replace("\n", "\r\n").encode())):
+        with pytest.raises(SchemaError, match="^line 1: the header runs on past its line"):
+            parse_events(source)
+    # a quote within an unquoted name ends its record on line 1: the name is refused as before
+    for parse in (parse_events, reference_parse_events):
+        with pytest.raises(SchemaError, match='^unknown column: x"y$'):
+            parse(HEADER.rstrip() + ',x"y\n' + row("2024-03-01T08:00:00"))
+
+
+@needs_fork
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path, monkeypatch):
     text = HEADER + row("2024-03-01T08:00:00")
     expected = parse_events(text)
     assert len(expected[0]) == 1
@@ -151,6 +166,18 @@ def test_byte_order_mark_before_the_header_is_dropped(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     with open(path, encoding="utf-8") as fh:
         assert parse_events(fh) == expected
+    # a file of many blocks is cut into ranges under either header
+    monkeypatch.setattr(events_mod, "CHUNK_BYTES", 64)
+    rows = "".join(row(f"2024-03-01T08:{i:02d}:00", sensor=f"s{i}") for i in range(40))
+    forks = count_forks(monkeypatch)
+    for header in (HEADER, QUOTED_HEADER):
+        path.write_bytes(b"\xef\xbb\xbf" + (header + rows).encode())
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert parse_file(path) == reference_parse_events(header + rows)
+            assert len(forks) == cpus - 1
+    no_child_is_left()
 
 
 def test_out_of_order_rows_sorted():
@@ -513,8 +540,9 @@ def test_parse_pauses_the_collector_and_restores_the_callers_state(monkeypatch, 
 
 
 def test_crlf_rows_take_the_byte_path(monkeypatch):
-    """A CRLF or a bare-CR log sends `_parse_chunk` only the rows that an
-    LF log sends it: here the one padded timestamp."""
+    """A CRLF or a bare-CR log, or a log under a quoted header, sends
+    `_parse_chunk` only the rows that an LF log sends it: here the one
+    padded timestamp."""
     real_parse_chunk = events_mod._parse_chunk
     sent = []
 
@@ -523,14 +551,15 @@ def test_crlf_rows_take_the_byte_path(monkeypatch):
         return real_parse_chunk(rows, *args)
 
     monkeypatch.setattr(events_mod, "_parse_chunk", recording_parse_chunk)
-    text = HEADER + row("2024-03-01T08:00:00") + row(" 2024-03-01T09:00:00") + row("2024-03-01T10:00:00")
+    rows = row("2024-03-01T08:00:00") + row(" 2024-03-01T09:00:00") + row("2024-03-01T10:00:00")
     padded = [" 2024-03-01T09:00:00", "h1", "s1", "motion", "kitchen", "1"]
-    lf = parse_events(text.encode())
+    lf = parse_events((HEADER + rows).encode())
     assert sent == [padded]
-    for ending in ("\r\n", "\r"):
-        sent.clear()
-        assert parse_events(text.replace("\n", ending).encode()) == lf
-        assert sent == [padded]
+    for header in (HEADER, QUOTED_HEADER):
+        for ending in ("\n", "\r\n", "\r"):
+            sent.clear()
+            assert parse_events((header + rows).replace("\n", ending).encode()) == lf
+            assert sent == [padded]
 
 
 def test_bare_cr_log_parses_in_blocks_like_its_lf_copy(monkeypatch):
@@ -607,7 +636,7 @@ def test_csv_round_trip_property(events):
 @_PROPERTY_SETTINGS
 @given(st.lists(_events, max_size=40), st.sampled_from([{"kitchen"}, {"a", "b"}, {"kitchen", "dining_room"}]))
 def test_table_equals_event_list_property(events, locations):
-    table = EventTable.from_events(events)
+    table = EventTable.from_records(events)
     assert table == events and list(table) == events and len(table) == len(events)
     assert records_to_csv(SensorEvent, table) == records_to_csv(SensorEvent, events)
     assert filter_meal_locations(table, locations) == [e for e in events if e.location in locations]
@@ -767,14 +796,17 @@ def fleet_like_text(rows=3000, seed=24):
 def test_a_file_parsed_in_ranges_equals_the_serial_parse(tmp_path, monkeypatch, cpus, chunk_bytes):
     text = fleet_like_text()
     path = tmp_path / "fleet.csv"
-    path.write_text(text)
     monkeypatch.setattr(events_mod, "CHUNK_BYTES", chunk_bytes)
     set_cpus(monkeypatch, 1)
     serial = parse_events(text.encode())
     set_cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
-    assert_same_parse(parse_file(path), serial)
-    assert len(forks) == cpus - 1
+    # the header's quoting decides nothing about the cut
+    for header in (HEADER, QUOTED_HEADER):
+        path.write_text(header + text.removeprefix(HEADER))
+        forks.clear()
+        assert_same_parse(parse_file(path), serial)
+        assert len(forks) == cpus - 1
     events, rejections = serial
     expected_events, expected_rejections = reference_parse_events(text)
     assert events == expected_events and rejections == expected_rejections
@@ -788,13 +820,17 @@ def test_a_file_parsed_in_ranges_equals_the_serial_parse(tmp_path, monkeypatch, 
 @given(
     rows=_mixed_rows(_UNQUOTED_ROWS, ["\n"]),
     header=st.one_of(st.just(REQUIRED_COLUMNS), st.permutations(REQUIRED_COLUMNS)),
+    # the header's quoting decides nothing about how the rows are read
+    quoted=st.sets(st.sampled_from(REQUIRED_COLUMNS)),
     bom=st.booleans(),
     final_newline=st.booleans(),
     chunk_bytes=st.sampled_from([64, 4096]),
     cpus=st.sampled_from([2, 3]),
 )
-def test_unquoted_mixed_rows_in_ranges_match_reference_property(rows, header, bom, final_newline, chunk_bytes, cpus):
-    text = ",".join(header) + "\n" + "".join(_mixed_line(e, kind, header) + end for e, kind, end in rows)
+def test_unquoted_mixed_rows_in_ranges_match_reference_property(rows, header, quoted, bom, final_newline, chunk_bytes,
+                                                                cpus):
+    names = ",".join(f'"{c}"' if c in quoted else c for c in header)
+    text = names + "\n" + "".join(_mixed_line(e, kind, header) + end for e, kind, end in rows)
     if rows and not final_newline:
         text = text.rstrip("\n")
     data = ("\ufeff" + text if bom else text).encode()
